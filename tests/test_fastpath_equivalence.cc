@@ -28,6 +28,7 @@
 #include "core/sampled_sim.hh"
 #include "core/skip_log.hh"
 #include "core/warmup.hh"
+#include "harness/parallel_run.hh"
 #include "func/funcsim.hh"
 #include "isa/inst.hh"
 #include "util/snapshot.hh"
@@ -367,7 +368,10 @@ TEST(FastpathDecodeEquivalence, PredecodedMatchesMemoryImageDecode)
 //    from the pre-optimization implementation (twolf, 400k insts,
 //    10x2000 regimen, scaled machine). Any hot-path change that shifts
 //    a single cycle, misprediction, warm update, logged record, or
-//    cluster-IPC bit fails here.
+//    cluster-IPC bit fails here. The deferred columns pin the same
+//    schedule through runSampledParallel at jobs=1 (capture, then
+//    replay from snapshots), so a shift common to every job count fails
+//    too.
 // ==========================================================================
 
 std::uint64_t
@@ -391,39 +395,68 @@ struct GoldenRow
     std::uint64_t reconstructionUpdates;
     std::uint64_t loggedRecords;
     std::uint64_t ipcHash;
+    /** Deferred estimator (runSampledParallel, jobs=1): same schedule,
+     *  clusters captured and replayed from snapshots. */
+    std::uint64_t deferredHotCycles;
+    std::uint64_t deferredIpcHash;
 };
+
+std::uint64_t
+clusterIpcHash(const std::vector<double> &cluster_ipc)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const double v : cluster_ipc)
+        h = fnv1a(&v, sizeof(v), h);
+    return h;
+}
 
 TEST(FastpathGolden, AllTable2PoliciesBitIdentical)
 {
     static const GoldenRow golden[] = {
-        {"None", 110170u, 781u, 0u, 0u, 0u, 0x5d40e060a3ac8f02ull},
+        {"None", 110170u, 781u, 0u, 0u, 0u, 0x5d40e060a3ac8f02ull,
+         110170u, 0x5d40e060a3ac8f02ull},
         {"FP (20%)", 55944u, 687u, 24833u, 0u, 0u,
-         0x6f5b67003b78ee4full},
+         0x6f5b67003b78ee4full,
+         55944u, 0x6f5b67003b78ee4full},
         {"FP (40%)", 51298u, 668u, 49686u, 0u, 0u,
-         0x10a2c65735fb5079ull},
+         0x10a2c65735fb5079ull,
+         51298u, 0x10a2c65735fb5079ull},
         {"FP (80%)", 36884u, 649u, 98882u, 0u, 0u,
-         0xdce42c7112e77e86ull},
-        {"S$", 39303u, 800u, 99570u, 0u, 0u, 0xd68c140fec2f8705ull},
-        {"SBP", 104736u, 642u, 24025u, 0u, 0u, 0x54580252b0820a3dull},
-        {"S$BP", 35534u, 643u, 123595u, 0u, 0u, 0x644328d6bd80884bull},
+         0xdce42c7112e77e86ull,
+         36884u, 0xdce42c7112e77e86ull},
+        {"S$", 39303u, 800u, 99570u, 0u, 0u, 0xd68c140fec2f8705ull,
+         39303u, 0xd68c140fec2f8705ull},
+        {"SBP", 104736u, 642u, 24025u, 0u, 0u, 0x54580252b0820a3dull,
+         104736u, 0x54580252b0820a3dull},
+        {"S$BP", 35534u, 643u, 123595u, 0u, 0u, 0x644328d6bd80884bull,
+         35534u, 0x644328d6bd80884bull},
         {"R$ (20%)", 58903u, 800u, 0u, 5798u, 68128u,
-         0x4031ebf1dc77a085ull},
+         0x4031ebf1dc77a085ull,
+         58903u, 0x4031ebf1dc77a085ull},
         {"R$ (40%)", 53910u, 805u, 0u, 7671u, 68128u,
-         0xfc7254e221e5dd55ull},
+         0xfc7254e221e5dd55ull,
+         53910u, 0xfc7254e221e5dd55ull},
         {"R$ (80%)", 40383u, 801u, 0u, 9624u, 68128u,
-         0xb4763e3029602294ull},
+         0xb4763e3029602294ull,
+         40383u, 0xb4763e3029602294ull},
         {"R$ (100%)", 39547u, 800u, 0u, 10303u, 68128u,
-         0xc0679f4acccf5785ull},
+         0xc0679f4acccf5785ull,
+         39547u, 0xc0679f4acccf5785ull},
         {"RBP", 107614u, 680u, 0u, 3871u, 24025u,
-         0xf1abd4044ef6f472ull},
+         0xf1abd4044ef6f472ull,
+         108153u, 0x7067bf85e9e61a01ull},
         {"R$BP (20%)", 56307u, 666u, 0u, 9626u, 92153u,
-         0xcb4dc446f385148full},
+         0xcb4dc446f385148full,
+         56714u, 0x43f36ae4519a15a4ull},
         {"R$BP (40%)", 51369u, 672u, 0u, 11486u, 92153u,
-         0xfbef1671e9717f58ull},
+         0xfbef1671e9717f58ull,
+         51994u, 0x10591888fdc013d5ull},
         {"R$BP (80%)", 37745u, 688u, 0u, 13440u, 92153u,
-         0x3e24a64e5823477eull},
+         0x3e24a64e5823477eull,
+         38253u, 0xe08d0aa64508fc19ull},
         {"R$BP (100%)", 36805u, 684u, 0u, 14122u, 92153u,
-         0xb5783206aaee5f13ull},
+         0xb5783206aaee5f13ull,
+         37451u, 0x59881796eff23789ull},
     };
 
     const auto prog = workload::buildSynthetic(
@@ -447,10 +480,12 @@ TEST(FastpathGolden, AllTable2PoliciesBitIdentical)
                   g.reconstructionUpdates)
             << g.name;
         EXPECT_EQ(r.warmWork.loggedRecords, g.loggedRecords) << g.name;
-        std::uint64_t ipc_hash = 0xcbf29ce484222325ull;
-        for (const double v : r.clusterIpc)
-            ipc_hash = fnv1a(&v, sizeof(v), ipc_hash);
-        EXPECT_EQ(ipc_hash, g.ipcHash) << g.name;
+        EXPECT_EQ(clusterIpcHash(r.clusterIpc), g.ipcHash) << g.name;
+
+        const auto d = harness::runSampledParallel(prog, *policies[i], cfg, 1);
+        EXPECT_EQ(d.hotCycles, g.deferredHotCycles) << g.name;
+        EXPECT_EQ(clusterIpcHash(d.clusterIpc), g.deferredIpcHash)
+            << g.name;
     }
 }
 

@@ -225,6 +225,38 @@ TEST(SimPoint, WarmupChangesEstimate)
     EXPECT_NE(cold.ipc, warm.ipc);
 }
 
+TEST(SimPoint, RunGoldenColdAndWarm)
+{
+    // Exact cold and SMARTS-warmed estimates for two workloads, pinned
+    // as hexfloats: any change to how the points are skipped to, warmed
+    // or measured that moves a single cycle fails here.
+    struct Golden
+    {
+        const char *workload;
+        double cold;
+        double warm;
+    };
+    static const Golden golden[] = {
+        {"twolf", 0x1.009019870d131p-3, 0x1.0efad2f1dd312p-1},
+        {"mcf", 0x1.64d6714d7216cp-5, 0x1.72f4e5b947b62p-5},
+    };
+    const auto mc = core::MachineConfig::scaledDefault();
+    SimPointConfig cfg;
+    cfg.intervalSize = 1000;
+    cfg.maxK = 10;
+    for (const Golden &g : golden) {
+        const auto prog = workload::buildSynthetic(
+            workload::standardWorkloadParams(g.workload));
+        const auto sel = pickSimPoints(prog, 100'000, cfg);
+        const auto cold = runSimPoints(prog, sel, false, mc);
+        const auto warm = runSimPoints(prog, sel, true, mc);
+        EXPECT_EQ(cold.ipc, g.cold) << g.workload;
+        EXPECT_EQ(warm.ipc, g.warm) << g.workload;
+        EXPECT_EQ(cold.hotInsts, sel.k * cfg.intervalSize) << g.workload;
+        EXPECT_EQ(warm.hotInsts, sel.k * cfg.intervalSize) << g.workload;
+    }
+}
+
 TEST(SimPoint, EstimateWithWarmupReasonable)
 {
     // Small-interval SimPoint with SMARTS warming should land within a
