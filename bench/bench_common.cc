@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <thread>
 
+#include "util/error.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
 
@@ -121,6 +123,26 @@ runPolicy(core::WarmupPolicy &policy,
         res.perWorkload.push_back(std::move(best));
     }
     return res;
+}
+
+ArgParser
+parseFlags(int argc, char **argv, const char *usage,
+           const std::set<std::string> &allowed)
+{
+    try {
+        ArgParser args(argc, argv);
+        if (args.has("help")) {
+            std::printf("%s", usage);
+            std::exit(0);
+        }
+        if (!args.command().empty())
+            rsr_throw_user("unexpected argument '", args.command(), "'");
+        args.requireKnown(allowed);
+        return args;
+    } catch (const UserError &e) {
+        std::fprintf(stderr, "%s: %s\n%s", argv[0], e.what(), usage);
+        std::exit(2);
+    }
 }
 
 void

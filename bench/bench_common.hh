@@ -15,12 +15,14 @@
 
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "core/sampled_sim.hh"
 #include "core/warmup.hh"
 #include "harness/json.hh"
+#include "util/args.hh"
 #include "workload/synthetic.hh"
 
 namespace rsr::bench
@@ -87,6 +89,17 @@ void runAndPrintFigure(const std::string &title,
                        const std::vector<PolicyFactory> &factories,
                        const std::vector<WorkloadSetup> &setups,
                        const std::string &speedup_baseline = "");
+
+/**
+ * Parse a bench's command line strictly, before anything is measured or
+ * written: every flag must be in @p allowed. `--help` prints @p usage
+ * and exits 0; an unknown flag (with a did-you-mean suggestion) or a
+ * stray positional argument prints the error and @p usage to stderr and
+ * exits 2. A mistyped `--quick` therefore cannot start a full run that
+ * overwrites a committed BENCH_*.json.
+ */
+ArgParser parseFlags(int argc, char **argv, const char *usage,
+                     const std::set<std::string> &allowed);
 
 /** Print the experiment banner. */
 void banner(const std::string &title, const std::string &paper_ref);

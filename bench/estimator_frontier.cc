@@ -97,13 +97,22 @@ meanGain(const std::vector<double> &uniform_err,
                : s / static_cast<double>(uniform_err.size());
 }
 
+const char usage[] =
+    "usage: estimator_frontier [--quick] [--out FILE] [--policy P]\n"
+    "  --quick     CI sizing: fewer seeds, smaller population\n"
+    "  --out FILE  record path (default BENCH_estimator_frontier.json)\n"
+    "  --policy P  warm-up policy held constant across methods\n"
+    "              (default rsr40)\n"
+    "  --help      print this text and exit\n";
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     using namespace rsr;
-    ArgParser args(argc, argv);
+    const ArgParser args =
+        bench::parseFlags(argc, argv, usage, {"quick", "out", "policy"});
     const bool quick = args.has("quick");
     const std::string out_path =
         args.get("out", "BENCH_estimator_frontier.json");

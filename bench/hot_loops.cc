@@ -174,13 +174,20 @@ table2MinstsPerSec(const bench::WorkloadSetup &setup)
     return static_cast<double>(total_insts) / timer.seconds() / 1e6;
 }
 
+const char usage[] =
+    "usage: hot_loops [--quick] [--out FILE]\n"
+    "  --quick     CI-sized inputs\n"
+    "  --out FILE  record path (default BENCH_hot_loops.json)\n"
+    "  --help      print this text and exit\n";
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     using namespace rsr;
-    ArgParser args(argc, argv);
+    const ArgParser args =
+        bench::parseFlags(argc, argv, usage, {"quick", "out"});
     const bool quick = args.has("quick");
     const std::string out_path = args.get("out", "BENCH_hot_loops.json");
 

@@ -19,6 +19,14 @@
  * storage economics (bytes/cluster, dedup ratio) are deterministic and
  * reported for the record.
  *
+ * Full mode (no --quick) then prints the per-workload design sweep
+ * (after the paper's reference [18], Wenisch et al., ISPASS 2006): each
+ * of the nine workloads is captured once under SMARTS warming and
+ * replayed under narrow, baseline and wide cores, against re-warming a
+ * full sampled run per design point. The capture pass costs about one
+ * sampled run; every further design point costs only the cluster
+ * measurements. The sweep is printed, not recorded.
+ *
  * Flags: --quick (CI-sized inputs), --out FILE (default
  * BENCH_livepoint_store.json in the current directory).
  */
@@ -33,6 +41,7 @@
 #include "harness/parallel_run.hh"
 #include "util/args.hh"
 #include "util/fileio.hh"
+#include "util/table.hh"
 #include "util/timer.hh"
 
 namespace
@@ -55,13 +64,91 @@ bestSeconds(unsigned reps, Fn &&run)
     return best;
 }
 
+/**
+ * Capture each workload once, then price three core design points by
+ * replay against re-warming a sampled run per point.
+ */
+void
+printDesignSweep()
+{
+    struct DesignPoint
+    {
+        unsigned issueWidth;
+        unsigned robSize;
+    };
+    const DesignPoint sweep[] = {{2, 32}, {4, 64}, {8, 128}};
+
+    double total_capture = 0, total_replay = 0, total_rewarm = 0;
+    std::uint64_t total_storage = 0;
+
+    std::printf("\ndesign sweep: narrow (2-wide, ROB 32), baseline "
+                "(4-wide, ROB 64), wide (8-wide, ROB 128)\n");
+    TextTable t({"workload", "capture(s)", "storage(MB)",
+                 "replay 3 pts(s)", "re-warm 3 pts(s)", "IPC narrow",
+                 "IPC base", "IPC wide"});
+    for (const auto &s : bench::prepareWorkloads(false)) {
+        // Capture under SMARTS warming: the snapshots then fully
+        // determine each cluster's initial state.
+        auto smarts = core::FunctionalWarmup::smarts();
+        WallTimer cap_timer;
+        const auto store = core::LivePointStore::create(
+            s.program, *smarts, s.cfg, s.params.name, "smarts");
+        const double capture_s = cap_timer.seconds();
+
+        double replay_s = 0, rewarm_s = 0;
+        double ipcs[3] = {};
+        for (unsigned i = 0; i < 3; ++i) {
+            auto machine = store.meta().machine;
+            machine.core.issueWidth = sweep[i].issueWidth;
+            machine.core.robSize = sweep[i].robSize;
+            const auto r = harness::replayStoreParallel(store, machine, 1);
+            replay_s += r.seconds;
+            ipcs[i] = r.estimate.mean;
+
+            // The conventional alternative: a full sampled run per point.
+            auto cfg = s.cfg;
+            cfg.machine = machine;
+            auto policy = core::FunctionalWarmup::smarts();
+            rewarm_s += core::runSampled(s.program, *policy, cfg).seconds;
+        }
+
+        const std::uint64_t storage = store.serialize().size();
+        total_capture += capture_s;
+        total_replay += replay_s;
+        total_rewarm += rewarm_s;
+        total_storage += storage;
+
+        t.addRow({s.params.name, TextTable::num(capture_s, 3),
+                  TextTable::num(storage / 1048576.0, 1),
+                  TextTable::num(replay_s, 3),
+                  TextTable::num(rewarm_s, 3), TextTable::num(ipcs[0]),
+                  TextTable::num(ipcs[1]), TextTable::num(ipcs[2])});
+    }
+    t.print();
+
+    std::printf("\ntotals: capture %.2fs + replay %.2fs = %.2fs for 3 "
+                "design points vs %.2fs re-warming each point "
+                "(%.1fx cheaper per additional point; %.1f MB stored)\n",
+                total_capture, total_replay,
+                total_capture + total_replay, total_rewarm,
+                total_rewarm / total_replay, total_storage / 1048576.0);
+}
+
+const char usage[] =
+    "usage: livepoint_store [--quick] [--out FILE]\n"
+    "  --quick     CI-sized inputs; without it the per-workload design sweep\n"
+    "              table runs too\n"
+    "  --out FILE  record path (default BENCH_livepoint_store.json)\n"
+    "  --help      print this text and exit\n";
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     using namespace rsr;
-    ArgParser args(argc, argv);
+    const ArgParser args =
+        bench::parseFlags(argc, argv, usage, {"quick", "out"});
     const bool quick = args.has("quick");
     const std::string out_path =
         args.get("out", "BENCH_livepoint_store.json");
@@ -158,5 +245,7 @@ main(int argc, char **argv)
                     replay_frac * 100.0);
     atomicWriteFile(out_path, j.str() + "\n");
     std::printf("wrote %s\n", out_path.c_str());
+    if (!quick)
+        printDesignSweep();
     return identical ? 0 : 1;
 }

@@ -69,12 +69,20 @@ deterministicFields(const std::string &path)
     return out;
 }
 
+const char usage[] =
+    "usage: parallel_matrix [--quick] [--out FILE] [--baseline]\n"
+    "  --quick     CI sizing\n"
+    "  --out FILE  record path (default BENCH_parallel_matrix.json)\n"
+    "  --baseline  stamp a committed baseline (refused on a 1-core machine)\n"
+    "  --help      print this text and exit\n";
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    ArgParser args(argc, argv);
+    const ArgParser args =
+        bench::parseFlags(argc, argv, usage, {"quick", "out", "baseline"});
     const bool quick = args.has("quick");
     const bool baseline = args.has("baseline");
     const std::string out =

@@ -30,11 +30,23 @@
 #include "util/table.hh"
 #include "util/timer.hh"
 
+namespace
+{
+
+const char usage[] =
+    "usage: parallel_replay [--out FILE] [--baseline]\n"
+    "  --out FILE  record path (default BENCH_parallel_replay.json)\n"
+    "  --baseline  stamp a committed baseline (refused on a 1-core machine)\n"
+    "  --help      print this text and exit\n";
+
+} // namespace
+
 int
 main(int argc, char **argv)
 {
     using namespace rsr;
-    ArgParser args(argc, argv);
+    const ArgParser args =
+        bench::parseFlags(argc, argv, usage, {"out", "baseline"});
     const bool baseline = args.has("baseline");
     const std::string out =
         args.get("out", "BENCH_parallel_replay.json");

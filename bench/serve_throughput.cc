@@ -96,12 +96,19 @@ percentile(std::vector<double> sorted, double p)
     return sorted[idx];
 }
 
+const char usage[] =
+    "usage: serve_throughput [--quick] [--out FILE]\n"
+    "  --quick     CI-sized inputs\n"
+    "  --out FILE  record path (default BENCH_serve_throughput.json)\n"
+    "  --help      print this text and exit\n";
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    ArgParser args(argc, argv);
+    const ArgParser args =
+        bench::parseFlags(argc, argv, usage, {"quick", "out"});
     const bool quick = args.has("quick");
     const std::string out_path =
         args.get("out", "BENCH_serve_throughput.json");

@@ -48,7 +48,7 @@ main(int argc, char **argv)
         auto machine = cfg.machine;
         machine.core.issueWidth = width;
         machine.core.robSize = rob;
-        const auto r = store.replay(machine);
+        const auto r = harness::replayStoreParallel(store, machine, 1);
         t.addRow({label, TextTable::num(r.estimate.mean),
                   TextTable::num(r.seconds, 3)});
     }
@@ -59,7 +59,7 @@ main(int argc, char **argv)
     auto smarts2 = core::FunctionalWarmup::smarts();
     const auto conventional =
         harness::runSampledParallel(program, *smarts2, cfg, 1);
-    const auto replayed = store.replay();
+    const auto replayed = harness::replayStoreParallel(store, 1);
     std::printf("\nbaseline check: replay IPC %.6f vs sampled run %.6f "
                 "(%s)\n",
                 replayed.estimate.mean, conventional.estimate.mean,

@@ -1,12 +1,12 @@
 /**
  * @file
- * Hot half of the live-point store: blob decode and the timing-replay
- * loop. Every container byte was validated when the store was opened
- * (content hashes, blob presence, trace sizes), so this path runs
+ * Hot half of the live-point store: blob decode into replay tasks.
+ * Every container byte was validated when the store was opened (content
+ * hashes, blob presence, trace sizes), so this path runs
  * assertion-checked decode only — no exceptional control flow.
  *
- * rsrlint: hot — the replay loop is the consumer's entire cost; keep
- * stream flushes and exceptional paths out of it.
+ * rsrlint: hot — decode runs once per replayed cluster; keep stream
+ * flushes and exceptional paths out of it.
  */
 
 #include "livepoint_store.hh"
@@ -15,7 +15,6 @@
 #include "util/logging.hh"
 #include "util/serial.hh"
 #include "util/snapshot.hh"
-#include "util/timer.hh"
 
 namespace rsr::core
 {
@@ -57,32 +56,6 @@ LivePointStore::makeReplayTask(std::size_t index) const
         task.context = restoreMeasureContext(ctx);
     }
     return task;
-}
-
-SampledResult
-LivePointStore::replay(const MachineConfig &machine_config) const
-{
-    SampledResult res;
-    WallTimer timer;
-
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-        ClusterReplayTask task = makeReplayTask(i);
-        std::uint64_t recon = 0;
-        double seconds = 0.0;
-        const uarch::RunResult rr =
-            replayCluster(task, machine_config, &recon, &seconds);
-        res.clusterIpc.push_back(rr.ipc());
-        res.hotInsts += rr.insts;
-        res.hotCycles += rr.cycles;
-        res.branchMispredicts += rr.branchMispredicts;
-        res.warmWork.reconstructionUpdates += recon;
-        res.phases.measureInsts += rr.insts;
-        res.phases.measureSeconds += seconds;
-    }
-
-    res.estimate = summarizeClusters(res.clusterIpc);
-    res.seconds = timer.seconds();
-    return res;
 }
 
 } // namespace rsr::core

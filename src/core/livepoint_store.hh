@@ -147,20 +147,12 @@ class LivePointStore
     /**
      * Decode stored cluster @p index into a ready-to-measure replay
      * task. Const and thread-safe: replay workers decode concurrently.
+     * harness::replayStoreParallel() measures every stored cluster this
+     * way under any machine configuration whose cache/predictor geometry
+     * matches the capture; the core may differ — that is what makes one
+     * capture serve a design-space sweep.
      */
     ClusterReplayTask makeReplayTask(std::size_t index) const;
-
-    /**
-     * Consumer: measure every stored cluster serially under
-     * @p machine_config (the cache/predictor geometry must match the
-     * capture; the core may differ — that is what makes one capture
-     * serve a design-space sweep). See harness/parallel_run.hh for the
-     * out-of-order parallel version.
-     */
-    SampledResult replay(const MachineConfig &machine_config) const;
-
-    /** Replay with the capture-time machine configuration. */
-    SampledResult replay() const { return replay(meta_.machine); }
 
     /** FNV-1a-64 over the whole serialized container. */
     std::uint64_t storeHash() const;

@@ -9,30 +9,6 @@ namespace rsr::core
 namespace
 {
 
-/** FuncSource that also reports each streamed instruction to hooks. */
-class HookedFuncSource : public uarch::InstSource
-{
-  public:
-    HookedFuncSource(func::FuncSim &fs,
-                     ClusterScheduleDriver::MeasureHooks *hooks)
-        : fs(fs), hooks(hooks)
-    {}
-
-    bool
-    next(func::DynInst &out) override
-    {
-        if (!fs.step(&out))
-            return false;
-        if (hooks)
-            hooks->onMeasuredInst(out);
-        return true;
-    }
-
-  private:
-    func::FuncSim &fs;
-    ClusterScheduleDriver::MeasureHooks *hooks;
-};
-
 /**
  * The skip inner loop, templated on the concrete policy type. When @p P
  * is one of the final policy classes the onSkipInst() call resolves
@@ -185,8 +161,9 @@ ClusterScheduleDriver::ClusterScheduleDriver(const func::Program &program,
     }
 }
 
+template <typename Step>
 SampledResult
-ClusterScheduleDriver::runInline(MeasureHooks *hooks)
+ClusterScheduleDriver::walk(Step &&step)
 {
     SampledResult res;
     WallTimer timer;
@@ -201,11 +178,10 @@ ClusterScheduleDriver::runInline(MeasureHooks *hooks)
 
     SkipPhase skip(fs, policy, config.deadline, iline_mask, res.phases);
     ReconstructPhase reconstruct(policy, res.phases);
-    MeasurePhase measure(machine, config.machine.core, res.phases);
 
     std::uint64_t pos = 0;
-    std::size_t index = 0;
-    for (const Cluster &cluster : schedule_) {
+    for (std::size_t index = 0; index < schedule_.size(); ++index) {
+        const Cluster &cluster = schedule_[index];
         if (config.deadline && config.deadline->expired())
             throw TimeoutError("sampled run exceeded its deadline at "
                                "cluster boundary");
@@ -213,79 +189,58 @@ ClusterScheduleDriver::runInline(MeasureHooks *hooks)
         skip.run(cluster.start - pos);
         res.skippedInsts += cluster.start - pos;
 
-        // ---- cluster boundary: eager warm-up, then measurement state.
+        // ---- cluster boundary: the policy's eager warm-up.
         reconstruct.run();
-        std::unique_ptr<MeasureContext> ctx = policy.makeMeasureContext();
-        if (ctx)
-            ctx->attach(machine);
-        if (hooks) {
-            WallTimer capture;
-            const std::uint64_t snapshot_bytes =
-                hooks->beforeMeasure(index, cluster, machine);
-            res.phases.peakSnapshotBytes =
-                std::max(res.phases.peakSnapshotBytes, snapshot_bytes);
-            res.phases.captureSeconds += capture.seconds();
-        }
 
-        // ---- hot phase: cycle-accurate measurement of the cluster.
-        HookedFuncSource src(fs, hooks);
-        const uarch::RunResult rr = measure.run(src, cluster.size);
-        if (ctx)
-            policy.addReconstructionWork(ctx->detach(machine));
-        if (hooks)
-            hooks->afterMeasure(index, cluster, machine);
-        policy.afterCluster();
-
-        res.clusterIpc.push_back(rr.ipc());
-        res.hotInsts += rr.insts;
-        res.hotCycles += rr.cycles;
-        res.branchMispredicts += rr.branchMispredicts;
+        // ---- hot phase: measure in place, or capture for replay.
+        step(index, cluster, fs, machine, iline_mask, res);
         pos = cluster.start + cluster.size;
-        ++index;
     }
 
-    res.estimate = summarizeClusters(res.clusterIpc);
     res.warmWork = policy.work();
     res.seconds = timer.seconds();
     return res;
 }
 
 SampledResult
+ClusterScheduleDriver::runInline()
+{
+    SampledResult res =
+        walk([this](std::size_t, const Cluster &cluster,
+                    func::FuncSim &fs, Machine &machine, std::uint64_t,
+                    SampledResult &acc) {
+            // Measure in place on the shared machine; no snapshot.
+            std::unique_ptr<MeasureContext> ctx =
+                policy.makeMeasureContext();
+            if (ctx)
+                ctx->attach(machine);
+            FuncSource src(fs);
+            MeasurePhase measure(machine, config.machine.core, acc.phases);
+            const uarch::RunResult rr = measure.run(src, cluster.size);
+            if (ctx)
+                policy.addReconstructionWork(ctx->detach(machine));
+            policy.afterCluster();
+
+            acc.clusterIpc.push_back(rr.ipc());
+            acc.hotInsts += rr.insts;
+            acc.hotCycles += rr.cycles;
+            acc.branchMispredicts += rr.branchMispredicts;
+        });
+    res.estimate = summarizeClusters(res.clusterIpc);
+    return res;
+}
+
+SampledResult
 ClusterScheduleDriver::runDeferred(ReplaySink &sink)
 {
-    SampledResult res;
-    WallTimer timer;
-
-    func::FuncSim fs(program);
-    Machine machine(config.machine);
-    policy.clearWork();
-    policy.attach(machine);
-
-    const std::uint64_t iline_mask =
-        ~std::uint64_t{machine.hier.il1().params().lineBytes - 1};
-
-    SkipPhase skip(fs, policy, config.deadline, iline_mask, res.phases);
-    ReconstructPhase reconstruct(policy, res.phases);
-    CapturePhase capture(fs, policy, machine, iline_mask, res.phases);
-
-    std::uint64_t pos = 0;
-    std::size_t index = 0;
-    for (const Cluster &cluster : schedule_) {
-        if (config.deadline && config.deadline->expired())
-            throw TimeoutError("sampled run exceeded its deadline at "
-                               "cluster boundary");
-        skip.run(cluster.start - pos);
-        res.skippedInsts += cluster.start - pos;
-        reconstruct.run();
-
+    return walk([this, &sink](std::size_t index, const Cluster &cluster,
+                              func::FuncSim &fs, Machine &machine,
+                              std::uint64_t iline_mask,
+                              SampledResult &acc) {
+        // Capture for a later replay; the sink measures the cluster.
+        CapturePhase capture(fs, policy, machine, iline_mask, acc.phases);
         sink.onCluster(capture.run(index, cluster));
-        pos = cluster.start + cluster.size;
-        ++index;
-    }
-
-    res.warmWork = policy.work();
-    res.seconds = timer.seconds();
-    return res;
+    });
 }
 
 namespace
@@ -409,14 +364,12 @@ ReplayArena::acquire(const MachineConfig &machine_config)
     return *machine;
 }
 
-namespace
-{
-
 uarch::RunResult
-replayOnMachine(ClusterReplayTask &task,
-                const MachineConfig &machine_config, Machine &m,
-                std::uint64_t *recon_updates, double *seconds)
+replayCluster(ClusterReplayTask &task,
+              const MachineConfig &machine_config, ReplayArena &arena,
+              std::uint64_t *recon_updates, double *seconds)
 {
+    Machine &m = arena.acquire(machine_config);
     WallTimer timer;
     restoreFromBytes(m, task.machineState);
     if (task.context)
@@ -436,28 +389,6 @@ replayOnMachine(ClusterReplayTask &task,
     if (seconds)
         *seconds = timer.seconds();
     return rr;
-}
-
-} // namespace
-
-uarch::RunResult
-replayCluster(ClusterReplayTask &task,
-              const MachineConfig &machine_config,
-              std::uint64_t *recon_updates, double *seconds)
-{
-    Machine m(machine_config);
-    return replayOnMachine(task, machine_config, m, recon_updates,
-                           seconds);
-}
-
-uarch::RunResult
-replayCluster(ClusterReplayTask &task,
-              const MachineConfig &machine_config, ReplayArena &arena,
-              std::uint64_t *recon_updates, double *seconds)
-{
-    return replayOnMachine(task, machine_config,
-                           arena.acquire(machine_config), recon_updates,
-                           seconds);
 }
 
 } // namespace rsr::core

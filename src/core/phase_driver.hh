@@ -7,19 +7,22 @@
  *                    the warm-up policy and polling the watchdog;
  *   ReconstructPhase the policy's cluster-boundary warm-up work (cache
  *                    reconstruction, log finalization);
+ *   CapturePhase     warm-state snapshot plus committed trace of one
+ *                    cluster, for a timing replay elsewhere;
  *   MeasurePhase     the cycle-accurate out-of-order run of one cluster.
  *
- * ClusterScheduleDriver composes the phases in two modes:
+ * ClusterScheduleDriver walks a cluster schedule in one loop — deadline
+ * check, SkipPhase, ReconstructPhase — and hands each cluster to one of
+ * two per-cluster steps:
  *
- *   runInline()   — the classic serial loop: every cluster is measured
- *                   on the shared machine the moment it is reached.
- *                   Sampled runs, live-points capture (via MeasureHooks),
- *                   and the campaign harness all use this mode.
- *   runDeferred() — the parallel front half: at each cluster boundary
- *                   the warm machine state is snapshotted and the
- *                   cluster's committed trace recorded, and the pair is
- *                   emitted as a ClusterReplayTask. The timing replays
- *                   can then run on any thread in any order (see
+ *   measure in place (runInline) — MeasurePhase times the cluster on
+ *                   the shared machine the moment it is reached; no
+ *                   snapshot is taken. runSampled() and SimPoint
+ *                   measurement use this step.
+ *   capture (runDeferred) — CapturePhase snapshots the warm machine
+ *                   state, records the cluster's committed trace and
+ *                   emits the pair as a ClusterReplayTask. The timing
+ *                   replays can then run on any thread in any order (see
  *                   harness/parallel_run.hh); replayCluster() executes
  *                   one task against a private machine. While the trace
  *                   is recorded, the shared machine receives the
@@ -201,45 +204,6 @@ class MeasurePhase
 class ClusterScheduleDriver
 {
   public:
-    /**
-     * Optional inline-mode hooks, used by live-points capture to observe
-     * each measured cluster without owning a copy of the loop.
-     */
-    class MeasureHooks
-    {
-      public:
-        virtual ~MeasureHooks() = default;
-
-        /**
-         * The cluster is about to be measured (warm-up already applied,
-         * measurement context attached). @return the size of any machine
-         * snapshot the hook took, for peak-footprint accounting (0 if
-         * none).
-         */
-        virtual std::uint64_t
-        beforeMeasure(std::size_t index, const Cluster &cluster,
-                      Machine &machine)
-        {
-            (void)index;
-            (void)cluster;
-            (void)machine;
-            return 0;
-        }
-
-        /** One committed instruction streamed into the timing model. */
-        virtual void onMeasuredInst(const func::DynInst &d) { (void)d; }
-
-        /** The cluster finished measuring. */
-        virtual void
-        afterMeasure(std::size_t index, const Cluster &cluster,
-                     Machine &machine)
-        {
-            (void)index;
-            (void)cluster;
-            (void)machine;
-        }
-    };
-
     ClusterScheduleDriver(const func::Program &program,
                           WarmupPolicy &policy,
                           const SampledConfig &config);
@@ -247,10 +211,10 @@ class ClusterScheduleDriver
     const std::vector<Cluster> &schedule() const { return schedule_; }
 
     /**
-     * Serial loop, measuring each cluster on the shared machine as it is
+     * Measure each cluster in place on the shared machine as it is
      * reached. Bit-identical to the pre-driver controller.
      */
-    SampledResult runInline(MeasureHooks *hooks = nullptr);
+    SampledResult runInline();
 
     /**
      * Deferred front half: skip + reconstruct + snapshot + record each
@@ -262,6 +226,16 @@ class ClusterScheduleDriver
     SampledResult runDeferred(ReplaySink &sink);
 
   private:
+    /**
+     * The schedule walk both modes share: skip to each cluster, apply
+     * the policy's boundary warm-up, then call
+     * `step(index, cluster, fs, machine, iline_mask, result)`. The step
+     * must leave the functional simulator at the cluster's end and call
+     * the policy's afterCluster().
+     */
+    template <typename Step>
+    SampledResult walk(Step &&step);
+
     const func::Program &program;
     WarmupPolicy &policy;
     const SampledConfig &config;
@@ -313,28 +287,19 @@ class ReplayArena
 };
 
 /**
- * Measure one deferred cluster on a private machine built from
- * @p machine_config: restore the snapshot, attach the measurement
+ * Measure one deferred cluster on a worker-private arena machine built
+ * from @p machine_config: restore the snapshot, attach the measurement
  * context, run the timing model over the stored trace. This is the
  * restore-entry that bypasses SkipPhase entirely — the snapshot already
  * holds the warmed state a skip would have produced — so a stored
  * ClusterReplayTask (e.g. from a live-point store) replays with zero
- * functional simulation. Thread-safe with respect to other replays
- * (shares nothing mutable).
+ * functional simulation. The snapshot restore is total, so the result
+ * does not depend on what the arena replayed before; the arena must be
+ * private to the calling thread.
  *
  * @param recon_updates receives the context's on-demand reconstruction
  *        work (0 when the task has no context); may be null.
  * @param seconds receives the wall time of this replay; may be null.
- */
-uarch::RunResult replayCluster(ClusterReplayTask &task,
-                               const MachineConfig &machine_config,
-                               std::uint64_t *recon_updates = nullptr,
-                               double *seconds = nullptr);
-
-/**
- * replayCluster() on a reusable arena machine instead of a fresh one.
- * Bit-identical to the fresh-machine overload (the snapshot restore is
- * total); the arena must be private to the calling thread.
  */
 uarch::RunResult replayCluster(ClusterReplayTask &task,
                                const MachineConfig &machine_config,

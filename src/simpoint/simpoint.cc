@@ -1,13 +1,11 @@
 #include "simpoint.hh"
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
 
+#include "core/sampled_sim.hh"
 #include "core/warmup.hh"
-#include "func/funcsim.hh"
-#include "uarch/core.hh"
-#include "util/logging.hh"
-#include "util/timer.hh"
 
 namespace rsr::simpoint
 {
@@ -48,64 +46,31 @@ runSimPoints(const func::Program &program,
              const core::MachineConfig &machine_config)
 {
     SimPointRunResult res;
-    WallTimer timer;
+    if (selection.intervals.empty())
+        return res;
 
-    func::FuncSim fs(program);
-    core::Machine machine(machine_config);
+    // The points are an explicit schedule for the sampled-run driver;
+    // everything between them is a skip region under the warm-up policy.
+    core::SampledConfig config;
+    config.machine = machine_config;
+    for (const std::uint64_t interval : selection.intervals)
+        config.explicitSchedule.push_back(
+            {interval * selection.intervalSize, selection.intervalSize});
+    config.totalInsts = config.explicitSchedule.back().start +
+                        selection.intervalSize;
 
-    // Reuse the SMARTS policy for the optional warming between points.
-    std::unique_ptr<core::FunctionalWarmup> warm;
-    if (smarts_warmup) {
-        warm = core::FunctionalWarmup::smarts();
-        warm->attach(machine);
-    }
+    std::unique_ptr<core::WarmupPolicy> policy;
+    if (smarts_warmup)
+        policy = core::FunctionalWarmup::smarts();
+    else
+        policy = std::make_unique<core::NoWarmup>();
+    const core::SampledResult run =
+        core::runSampled(program, *policy, config);
 
-    class Source : public uarch::InstSource
-    {
-      public:
-        explicit Source(func::FuncSim &fs) : fs(fs) {}
-        bool next(func::DynInst &out) override { return fs.step(&out); }
-
-      private:
-        func::FuncSim &fs;
-    };
-
-    const std::uint64_t iline_mask =
-        ~std::uint64_t{machine.hier.il1().params().lineBytes - 1};
-
-    double weighted_ipc = 0.0;
-    func::DynInst d;
-    for (std::size_t p = 0; p < selection.intervals.size(); ++p) {
-        const std::uint64_t start =
-            selection.intervals[p] * selection.intervalSize;
-        rsr_assert(fs.instCount() <= start,
-                   "simulation points overlap or are unsorted");
-        const std::uint64_t skip_len = start - fs.instCount();
-        if (warm)
-            warm->beginSkip(skip_len);
-        std::uint64_t last_iblock = ~std::uint64_t{0};
-        for (std::uint64_t i = 0; i < skip_len; ++i) {
-            const bool ok = fs.step(&d);
-            rsr_assert(ok, "workload halted before a simulation point");
-            if (warm) {
-                const std::uint64_t blk = d.pc & iline_mask;
-                warm->onSkipInst(d, blk != last_iblock);
-                last_iblock = blk;
-            }
-        }
-
-        machine.hier.l1Bus().reset();
-        machine.hier.l2Bus().reset();
-        uarch::OoOCore core(machine_config.core, machine.hier, machine.bp);
-        Source src(fs);
-        const uarch::RunResult rr =
-            core.run(src, selection.intervalSize);
-        res.hotInsts += rr.insts;
-        weighted_ipc += selection.weights[p] * rr.ipc();
-    }
-
-    res.ipc = weighted_ipc;
-    res.seconds = timer.seconds();
+    for (std::size_t p = 0; p < run.clusterIpc.size(); ++p)
+        res.ipc += selection.weights[p] * run.clusterIpc[p];
+    res.hotInsts = run.hotInsts;
+    res.seconds = run.seconds;
     return res;
 }
 

@@ -58,7 +58,8 @@ struct SimPointRunResult
 };
 
 /**
- * Simulate the selected points in execution order. Between points the
+ * Simulate the selected points in execution order, as an explicit
+ * schedule measured in place by core::runSampled(). Between points the
  * functional simulator maintains state; if @p smarts_warmup is set,
  * every skipped branch and memory operation is functionally applied to
  * the branch predictor and caches (SMARTS warming), otherwise state is

@@ -217,7 +217,7 @@ TEST_F(LivePoints, ReplayMatchesDeferredRunExactly)
 {
     // The snapshot + context fully determine the cluster's initial
     // state, so replay must reproduce per-cluster IPCs bit-exactly.
-    const auto r = store->replay();
+    const auto r = harness::replayStoreParallel(*store, 1);
     ASSERT_EQ(r.clusterIpc.size(), reference->clusterIpc.size());
     for (std::size_t i = 0; i < r.clusterIpc.size(); ++i)
         EXPECT_DOUBLE_EQ(r.clusterIpc[i], reference->clusterIpc[i]) << i;
@@ -244,7 +244,7 @@ TEST_F(LivePoints, ReplayWithMeasureContextMatches)
         any_context = any_context || e.hasContext;
     EXPECT_TRUE(any_context);
 
-    const auto r = rsr_store.replay();
+    const auto r = harness::replayStoreParallel(rsr_store, 1);
     ASSERT_EQ(r.clusterIpc.size(), direct.clusterIpc.size());
     for (std::size_t i = 0; i < r.clusterIpc.size(); ++i)
         EXPECT_DOUBLE_EQ(r.clusterIpc[i], direct.clusterIpc[i]) << i;
@@ -273,15 +273,15 @@ TEST_F(LivePoints, SerializeRoundTrip)
         EXPECT_EQ(copy.entries()[i].firstSeq,
                   store->entries()[i].firstSeq);
     }
-    const auto r1 = store->replay();
-    const auto r2 = copy.replay();
+    const auto r1 = harness::replayStoreParallel(*store, 1);
+    const auto r2 = harness::replayStoreParallel(copy, 1);
     for (std::size_t i = 0; i < r1.clusterIpc.size(); ++i)
         EXPECT_DOUBLE_EQ(r1.clusterIpc[i], r2.clusterIpc[i]);
 }
 
 TEST_F(LivePoints, ParallelReplayMatchesSerial)
 {
-    const auto serial = store->replay();
+    const auto serial = harness::replayStoreParallel(*store, 1);
     const auto parallel = harness::replayStoreParallel(*store, 3);
     ASSERT_EQ(parallel.clusterIpc.size(), serial.clusterIpc.size());
     EXPECT_EQ(parallel.clusterIpc, serial.clusterIpc);
@@ -300,8 +300,8 @@ TEST_F(LivePoints, CoreSweepOverOneCapture)
     auto wide = cfg->machine;
     wide.core.issueWidth = 8;
     wide.core.numFUs = 8;
-    const auto rn = store->replay(narrow);
-    const auto rw = store->replay(wide);
+    const auto rn = harness::replayStoreParallel(*store, narrow, 1);
+    const auto rw = harness::replayStoreParallel(*store, wide, 1);
     EXPECT_LT(rn.estimate.mean, rw.estimate.mean);
     EXPECT_GT(rn.hotCycles, rw.hotCycles);
 }

@@ -28,6 +28,7 @@
 #include "core/warmup.hh"
 #include "harness/campaign.hh"
 #include "harness/manifest.hh"
+#include "harness/parallel_run.hh"
 #include "simpoint/simpoint.hh"
 #include "trace/trace.hh"
 #include "util/error.hh"
@@ -272,7 +273,8 @@ TEST(Robustness, BitFlippedLivePointStoreThrowsCorruptInput)
     const std::string path = savedSmallStore("flip");
 
     // Sanity: the pristine file loads and replays.
-    EXPECT_NO_THROW(core::LivePointStore::loadFile(path).replay());
+    EXPECT_NO_THROW(harness::replayStoreParallel(
+        core::LivePointStore::loadFile(path), 1));
 
     const auto pristine = slurpFile(path);
     ASSERT_GT(pristine.size(), 64u);
