@@ -1,7 +1,7 @@
 /**
  * @file
- * Parallel scaling matrix (jobs × clusters × shards), and the source of
- * the perf-smoke scaling baseline (BENCH_parallel_matrix.json).
+ * Parallel scaling matrix (jobs × clusters × shards × policies), and the
+ * source of the perf-smoke scaling baseline (BENCH_parallel_matrix.json).
  *
  * Leg 1 — replay scaling: capture one live-point store per cluster
  * count, then measure the pure consumer pass (replayStoreParallel —
@@ -15,6 +15,12 @@
  * and with 4 forked shard workers over one claim-locked manifest; the
  * per-job result artifacts must agree on every deterministic field.
  *
+ * Leg 3 — policy sweep: the full Table-2 policy matrix through
+ * runPolicySweep serially and over a 4-worker pool (one pool task per
+ * policy, each a whole deferred run). Every policy's per-cluster IPC and
+ * estimate must match the serial sweep bit for bit; the record carries
+ * both wall times and their ratio.
+ *
  * The record carries `parallel_scaling_valid` (cores > 1): on a 1-core
  * runner the timings are honest but meaningless as a scaling claim, the
  * efficiency floor is not self-enforced, and consumers must skip
@@ -23,6 +29,11 @@
  * Flags: --quick (CI sizing), --out FILE (default
  * BENCH_parallel_matrix.json), --baseline (refused when
  * hardware_concurrency() <= 1).
+ *
+ * Exit status: 0 ok; 1 a result diverged (or a refused --baseline);
+ * 2 bad flags; 3 every result identical but the jobs=4 efficiency is
+ * below the floor. The distinct status lets a determinism gate and a
+ * scaling gate each check their own property.
  */
 
 #include <cstdio>
@@ -74,7 +85,8 @@ const char usage[] =
     "  --quick     CI sizing\n"
     "  --out FILE  record path (default BENCH_parallel_matrix.json)\n"
     "  --baseline  stamp a committed baseline (refused on a 1-core machine)\n"
-    "  --help      print this text and exit\n";
+    "  --help      print this text and exit\n"
+    "exit: 0 ok, 1 results diverged, 2 bad flags, 3 efficiency floor missed\n";
 
 } // namespace
 
@@ -209,6 +221,43 @@ main(int argc, char **argv)
                 shard_seconds[0], shard_seconds[1],
                 shards_identical ? "identical" : "DIVERGED");
 
+    // ---- Leg 3: the Table-2 policy sweep, serial vs pooled.
+    const std::vector<std::string> policies{
+        "none",     "fp20",     "fp40",      "fp80", "scache", "sbp",
+        "smarts",   "rcache20", "rcache40",  "rcache80", "rcache100",
+        "rbp",      "rsr20",    "rsr40",     "rsr80", "rsr100"};
+    core::SampledConfig sweep_cfg = setup.cfg;
+    sweep_cfg.regimen = {20, cluster_size};
+    WallTimer serial_timer;
+    const auto serial =
+        harness::runPolicySweep(setup.program, policies, sweep_cfg, 1);
+    const double sweep_serial = serial_timer.seconds();
+    WallTimer pooled_timer;
+    const auto pooled =
+        harness::runPolicySweep(setup.program, policies, sweep_cfg, 4);
+    const double sweep_pooled = pooled_timer.seconds();
+
+    bool sweep_identical = true;
+    TextTable st({"policy", "serial ipc", "pooled ipc", "identical"});
+    for (std::size_t i = 0; i < policies.size(); ++i) {
+        const core::SampledResult &a = serial[i].result;
+        const core::SampledResult &b = pooled[i].result;
+        const bool same = a.clusterIpc == b.clusterIpc &&
+                          a.estimate.mean == b.estimate.mean &&
+                          a.estimate.ciLow == b.estimate.ciLow &&
+                          a.estimate.ciHigh == b.estimate.ciHigh;
+        sweep_identical = sweep_identical && same;
+        st.addRow({serial[i].displayName, TextTable::num(a.estimate.mean),
+                   TextTable::num(b.estimate.mean), same ? "yes" : "NO"});
+    }
+    std::printf("\n");
+    st.print();
+    const double sweep_speedup =
+        sweep_pooled > 0.0 ? sweep_serial / sweep_pooled : 0.0;
+    std::printf("policy sweep: serial %.3fs, 4 jobs %.3fs, speedup %.2fx\n",
+                sweep_serial, sweep_pooled, sweep_speedup);
+    identical = identical && sweep_identical;
+
     std::printf("replay efficiency: jobs=2 %.2f, jobs=4 %.2f "
                 "(%u cores)\n",
                 eff2, eff4, cores);
@@ -219,6 +268,10 @@ main(int argc, char **argv)
 
     j.put("campaign_seconds_shards1", shard_seconds[0])
         .put("campaign_seconds_shards4", shard_seconds[1])
+        .put("sweep_policies", static_cast<std::uint64_t>(policies.size()))
+        .put("sweep_seconds_jobs1", sweep_serial)
+        .put("sweep_seconds_jobs4", sweep_pooled)
+        .put("sweep_speedup", sweep_speedup)
         .put("efficiency_jobs2", eff2)
         .put("efficiency_jobs4", eff4)
         // Efficiency is already dimensionless, so it doubles as its own
@@ -239,7 +292,7 @@ main(int argc, char **argv)
         std::printf("ERROR: jobs=4 efficiency %.2f below the 0.7 floor "
                     "on a %u-core machine\n",
                     eff4, cores);
-        return 1;
+        return 3;
     }
     return 0;
 }

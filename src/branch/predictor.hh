@@ -32,6 +32,8 @@ struct PredictorParams
     unsigned historyBits = 16;
     unsigned btbEntries = 4096;
     unsigned rasEntries = 8;
+
+    bool operator==(const PredictorParams &) const = default;
 };
 
 /** 2-bit saturating counter helpers. */

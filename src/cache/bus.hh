@@ -23,6 +23,8 @@ struct BusParams
     unsigned widthBytes = 16;
     /** CPU cycles per bus cycle (core frequency / bus frequency). */
     unsigned cpuCyclesPerBusCycle = 2;
+
+    bool operator==(const BusParams &) const = default;
 };
 
 /** Bus usage statistics. */

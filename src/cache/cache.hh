@@ -49,6 +49,8 @@ struct CacheParams
     WritePolicy writePolicy = WritePolicy::WriteThroughNoAllocate;
     /** Access (hit) latency in CPU cycles. */
     unsigned hitLatency = 1;
+
+    bool operator==(const CacheParams &) const = default;
 };
 
 /** Per-access outcome, consumed by the hierarchy for timing/traffic. */

@@ -36,6 +36,8 @@ struct HierarchyParams
 
     /** The paper's Section-4 memory system. */
     static HierarchyParams paperDefault();
+
+    bool operator==(const HierarchyParams &) const = default;
 };
 
 /** Two-level hierarchy. */

@@ -15,6 +15,7 @@
 #include "util/logging.hh"
 #include "util/serial.hh"
 #include "util/snapshot.hh"
+#include "util/timer.hh"
 
 namespace rsr::core
 {
@@ -132,7 +133,11 @@ getString(Deserializer &in)
     return s;
 }
 
-/** Feeds captured clusters into a blob store as the front half runs. */
+/**
+ * Feeds captured clusters into a blob store as the front half runs. The
+ * store is where warm state leaves the process, so this is where each
+ * cluster's live machine is serialized.
+ */
 class CaptureSink : public ReplaySink
 {
   public:
@@ -147,7 +152,12 @@ class CaptureSink : public ReplaySink
         LivePointEntry e;
         e.cluster = task.cluster;
         e.firstSeq = task.trace.empty() ? 0 : task.trace.front().seq;
-        e.stateHash = writer.add(task.machineState);
+        WallTimer timer;
+        const std::vector<std::uint8_t> state = snapshotToBytes(*task.warm);
+        snapshotSeconds += timer.seconds();
+        peakSnapshotBytes =
+            std::max<std::uint64_t>(peakSnapshotBytes, state.size());
+        e.stateHash = writer.add(state);
 
         ByteSink trace;
         for (const auto &d : task.trace) {
@@ -167,6 +177,11 @@ class CaptureSink : public ReplaySink
         }
         entries.push_back(e);
     }
+
+    /** Largest serialized machine so far, in bytes. */
+    std::uint64_t peakSnapshotBytes = 0;
+    /** Wall time spent serializing machines. */
+    double snapshotSeconds = 0.0;
 
   private:
     BlobStoreWriter &writer;
@@ -191,7 +206,9 @@ LivePointStore::create(const func::Program &program, WarmupPolicy &policy,
     // capture, no timing. Replays from the store therefore compute the
     // same estimator as runSampledParallel, by construction.
     ClusterScheduleDriver driver(program, policy, config);
-    const SampledResult front = driver.runDeferred(sink);
+    SampledResult front = driver.runDeferred(sink);
+    front.phases.peakSnapshotBytes = sink.peakSnapshotBytes;
+    front.phases.captureSeconds += sink.snapshotSeconds;
     if (front_half)
         *front_half = front;
 

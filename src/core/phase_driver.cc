@@ -113,10 +113,9 @@ CapturePhase::run(std::size_t index, const Cluster &cluster)
     ClusterReplayTask task;
     task.index = index;
     task.cluster = cluster;
-    task.machineState = snapshotToBytes(machine);
-    counters.peakSnapshotBytes =
-        std::max<std::uint64_t>(counters.peakSnapshotBytes,
-                                task.machineState.size());
+    // A plain copy: the state stays in this process, so it needs no
+    // framing or checksums (a live-point store serializes it later).
+    task.warm = std::make_unique<Machine>(machine);
     task.context = policy.makeMeasureContext();
 
     // Record the cluster's committed trace. The shared machine receives
@@ -369,9 +368,23 @@ replayCluster(ClusterReplayTask &task,
               const MachineConfig &machine_config, ReplayArena &arena,
               std::uint64_t *recon_updates, double *seconds)
 {
-    Machine &m = arena.acquire(machine_config);
+    rsr_assert(!task.warm != task.machineState.empty(),
+               "replay task must carry exactly one of a live machine and "
+               "a snapshot");
     WallTimer timer;
-    restoreFromBytes(m, task.machineState);
+    Machine *warm = task.warm.get();
+    if (warm) {
+        if (warm->config.hier != machine_config.hier ||
+            warm->config.bp != machine_config.bp)
+            rsr_throw_corrupt("replay task ", task.index,
+                              " was captured under memory-hierarchy or "
+                              "branch-unit parameters that differ from "
+                              "the replay configuration");
+    } else {
+        warm = &arena.acquire(machine_config);
+        restoreFromBytes(*warm, task.machineState);
+    }
+    Machine &m = *warm;
     if (task.context)
         task.context->attach(m);
     m.hier.l1Bus().reset();

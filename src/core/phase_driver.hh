@@ -7,7 +7,7 @@
  *                    the warm-up policy and polling the watchdog;
  *   ReconstructPhase the policy's cluster-boundary warm-up work (cache
  *                    reconstruction, log finalization);
- *   CapturePhase     warm-state snapshot plus committed trace of one
+ *   CapturePhase     warm-machine copy plus committed trace of one
  *                    cluster, for a timing replay elsewhere;
  *   MeasurePhase     the cycle-accurate out-of-order run of one cluster.
  *
@@ -19,18 +19,36 @@
  *                   the shared machine the moment it is reached; no
  *                   snapshot is taken. runSampled() and SimPoint
  *                   measurement use this step.
- *   capture (runDeferred) — CapturePhase snapshots the warm machine
- *                   state, records the cluster's committed trace and
- *                   emits the pair as a ClusterReplayTask. The timing
- *                   replays can then run on any thread in any order (see
- *                   harness/parallel_run.hh); replayCluster() executes
- *                   one task against a private machine. While the trace
- *                   is recorded, the shared machine receives the
- *                   cluster's state effects *functionally* (commit-order
- *                   warm accesses), so deferred results are deterministic
- *                   and independent of the number of replay workers —
- *                   but a slightly different estimator than runInline(),
- *                   whose timed clusters touch the caches in issue order.
+ *   capture (runDeferred) — CapturePhase copies the warm machine,
+ *                   records the cluster's committed trace and emits the
+ *                   pair as a ClusterReplayTask. The timing replays can
+ *                   then run on any thread in any order (see
+ *                   harness/parallel_run.hh); replayCluster() times one
+ *                   task on its own machine copy. While the trace is
+ *                   recorded, the shared machine receives the cluster's
+ *                   state effects *functionally* (commit-order warm
+ *                   accesses), so deferred results are deterministic and
+ *                   independent of the number of replay workers.
+ *
+ * Warm state becomes bytes only where it leaves the process: the
+ * live-point store serializes each task's machine when it persists a
+ * cluster, and a task decoded from a store carries those bytes.
+ *
+ * The two steps differ only in what a timed cluster leaves on the
+ * shared machine. Inline, the timing model touches the data cache in
+ * out-of-order issue order where capture trains it in commit order, so
+ * LRU order within a set can differ; in the golden tests this has not
+ * moved a measured number, and every policy without on-demand
+ * reconstruction (None, FP, SMARTS, R$) agrees on every cycle and
+ * cluster IPC. RBP and R$BP do differ, because their MeasureContext
+ * rebuilds predictor entries while the cluster is timed. Inline, that
+ * work lands on the shared machine and carries into later clusters:
+ * the GHR, RAS and PHT/BTB entries rebuilt from the log, including the
+ * PHT entries the timing model's fetch-time predictions demand at the
+ * lagging fetch-time history, which commit-order training never
+ * indexes. Deferred, it lands on the replay copy only, and the shared
+ * machine trains its unreconstructed predictor state through the
+ * cluster.
  */
 
 #ifndef RSR_CORE_PHASE_DRIVER_HH
@@ -86,14 +104,18 @@ class TraceSource : public uarch::InstSource
 
 /**
  * Everything needed to measure one cluster away from the shared machine:
- * the warm state snapshot, the committed trace, and the policy's
+ * the warm machine state, the committed trace, and the policy's
  * measurement-time context (on-demand reconstruction state). Produced by
- * ClusterScheduleDriver::runDeferred(), consumed by replayCluster().
+ * ClusterScheduleDriver::runDeferred() or LivePointStore::makeReplayTask(),
+ * consumed by replayCluster(). Exactly one form of warm state is set.
  */
 struct ClusterReplayTask
 {
     std::size_t index = 0;
     Cluster cluster;
+    /** In-process capture: a copy of the shared machine, timed in place. */
+    std::unique_ptr<Machine> warm;
+    /** Store decode: the serialized machine, restored into an arena. */
     std::vector<std::uint8_t> machineState;
     std::vector<func::DynInst> trace;
     std::unique_ptr<MeasureContext> context;
@@ -152,7 +174,7 @@ class ReconstructPhase
  * Warm-state capture at one cluster boundary — the producer half of the
  * live-point split. Runs after ReconstructPhase (warm-up applied, the
  * machine is exactly the state a timed cluster would start from) and
- * packages everything a later timing replay needs: the machine snapshot,
+ * packages everything a later timing replay needs: a copy of the machine,
  * the policy's measurement context, and the cluster's committed trace.
  * While the trace is recorded, the shared machine receives the cluster's
  * state effects *functionally* in commit order, so the following skip
@@ -217,7 +239,7 @@ class ClusterScheduleDriver
     SampledResult runInline();
 
     /**
-     * Deferred front half: skip + reconstruct + snapshot + record each
+     * Deferred front half: skip + reconstruct + copy + record each
      * cluster, emitting ClusterReplayTasks to @p sink in schedule order.
      * The returned result carries the front-half accounting (skipped
      * instructions, warm work, phase counters); the sink's replays
@@ -266,13 +288,15 @@ profileClusterProxies(const func::Program &program,
                       const Deadline *deadline = nullptr);
 
 /**
- * A worker-private machine reused across cluster replays. Building a
- * Machine allocates every cache array and predictor table; doing that
- * per cluster makes parallel replay a global-heap contention benchmark
- * instead of a simulation. One arena per replay worker amortizes the
- * allocation: restoreFromBytes() overwrites the entire hierarchy and
- * predictor state (Machine::restore covers both), and replayCluster()
- * resets the buses, so a reused machine is bit-identical to a fresh one.
+ * A worker-private machine reused across replays of stored clusters.
+ * Building a Machine allocates every cache array and predictor table;
+ * doing that per cluster makes parallel store replay a global-heap
+ * contention benchmark instead of a simulation. One arena per replay
+ * worker amortizes the allocation: restoreFromBytes() overwrites the
+ * entire hierarchy and predictor state (Machine::restore covers both),
+ * and replayCluster() resets the buses, so a reused machine is
+ * bit-identical to a fresh one. Tasks that carry a live machine never
+ * touch the arena.
  */
 class ReplayArena
 {
@@ -287,15 +311,17 @@ class ReplayArena
 };
 
 /**
- * Measure one deferred cluster on a worker-private arena machine built
- * from @p machine_config: restore the snapshot, attach the measurement
- * context, run the timing model over the stored trace. This is the
- * restore-entry that bypasses SkipPhase entirely — the snapshot already
- * holds the warmed state a skip would have produced — so a stored
- * ClusterReplayTask (e.g. from a live-point store) replays with zero
- * functional simulation. The snapshot restore is total, so the result
- * does not depend on what the arena replayed before; the arena must be
- * private to the calling thread.
+ * Measure one deferred cluster: attach the measurement context and run
+ * the timing model (core parameters from @p machine_config) over the
+ * task's trace, starting from the task's warm state. A live task is
+ * timed on its own machine, whose hierarchy and predictor parameters
+ * must equal @p machine_config's (CorruptInputError otherwise, as a
+ * snapshot of the wrong geometry fails to restore). A stored task is
+ * restored into the arena machine built from @p machine_config; the
+ * restore is total, so the result does not depend on what the arena
+ * replayed before, and the arena must be private to the calling thread.
+ * Either way the warm state already holds what a skip would have
+ * produced, so replay runs with zero functional simulation.
  *
  * @param recon_updates receives the context's on-demand reconstruction
  *        work (0 when the task has no context); may be null.

@@ -58,7 +58,8 @@ struct SampledConfig
  * Per-phase observability counters: how much work and wall time the
  * skip (functional fast-forward), reconstruct (warm-up at the cluster
  * boundary), and measure (cycle-accurate cluster) phases consumed, plus
- * the snapshot footprint when clusters are captured for deferred replay.
+ * the snapshot footprint when captured clusters are serialized into a
+ * live-point store.
  */
 struct PhaseCounters
 {
@@ -68,14 +69,19 @@ struct PhaseCounters
     double skipSeconds = 0.0;
     /** Wall time in the reconstruct phase (policy beforeCluster work). */
     double reconstructSeconds = 0.0;
-    /** Wall time snapshotting state + recording cluster traces
-     *  (deferred/capture modes only). */
+    /** Wall time copying warm state + recording cluster traces
+     *  (deferred/capture modes only; a live-point store capture also
+     *  counts serializing each machine). */
     double captureSeconds = 0.0;
     /** Instructions measured by the timing model. */
     std::uint64_t measureInsts = 0;
     /** Wall time in the measure phase (sums worker time when parallel). */
     double measureSeconds = 0.0;
-    /** Largest machine snapshot taken, in bytes (0 when none taken). */
+    /**
+     * Largest machine snapshot serialized, in bytes. Only a live-point
+     * store capture serializes machines; inline and in-process deferred
+     * runs report 0.
+     */
     std::uint64_t peakSnapshotBytes = 0;
 };
 

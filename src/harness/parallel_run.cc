@@ -17,9 +17,10 @@ namespace
 
 /**
  * Shared-nothing replay accumulation: each worker owns a ReplayStatShard
- * (scalar sums, order-free) and a ReplayArena (reused private machine),
- * and per-cluster results land in padded commit slots indexed by cluster
- * — never by completion order. The only cross-worker writes are the
+ * (scalar sums, order-free) and a ReplayArena (a reused private machine
+ * that store tasks restore into; in-process tasks bring their own), and
+ * per-cluster results land in padded commit slots indexed by cluster —
+ * never by completion order. The only cross-worker writes are the
  * disjoint slot commits, each on its own cache line.
  */
 struct ReplayLanes

@@ -370,8 +370,11 @@ TEST(FastpathDecodeEquivalence, PredecodedMatchesMemoryImageDecode)
 //    a single cycle, misprediction, warm update, logged record, or
 //    cluster-IPC bit fails here. The deferred columns pin the same
 //    schedule through runSampledParallel at jobs=1 (capture, then
-//    replay from snapshots), so a shift common to every job count fails
-//    too.
+//    replay on machine copies), so a shift common to every job count
+//    fails too. On this configuration inline and deferred agree for
+//    every policy without on-demand branch reconstruction; RBP and R$BP
+//    differ because inline clusters leave that reconstruction on the
+//    shared machine (see core/phase_driver.hh).
 // ==========================================================================
 
 std::uint64_t
@@ -469,6 +472,9 @@ TEST(FastpathGolden, AllTable2PoliciesBitIdentical)
     auto policies = core::makeTable2Policies();
     ASSERT_EQ(policies.size(), std::size(golden));
     for (std::size_t i = 0; i < policies.size(); ++i) {
+        // A policy reconstructs on demand iff it hands measurement a
+        // context (asked before the run, while its log is empty).
+        const bool on_demand = policies[i]->makeMeasureContext() != nullptr;
         const auto r = core::runSampled(prog, *policies[i], cfg);
         const GoldenRow &g = golden[i];
         ASSERT_EQ(policies[i]->name(), g.name);
@@ -486,6 +492,14 @@ TEST(FastpathGolden, AllTable2PoliciesBitIdentical)
         EXPECT_EQ(d.hotCycles, g.deferredHotCycles) << g.name;
         EXPECT_EQ(clusterIpcHash(d.clusterIpc), g.deferredIpcHash)
             << g.name;
+        // Not the warm-update count: inline clusters touch the data
+        // cache in issue order, which leaves FP (80%) one L1 miss apart
+        // in a later skip without moving any measured number.
+        if (!on_demand) {
+            EXPECT_EQ(d.hotCycles, r.hotCycles) << g.name;
+            EXPECT_EQ(d.branchMispredicts, r.branchMispredicts) << g.name;
+            EXPECT_EQ(d.clusterIpc, r.clusterIpc) << g.name;
+        }
     }
 }
 

@@ -12,6 +12,8 @@
 #include <cstdio>
 #include <mutex>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "core/livepoint_store.hh"
 #include "core/phase_driver.hh"
@@ -19,6 +21,7 @@
 #include "harness/parallel_run.hh"
 #include "harness/thread_pool.hh"
 #include "util/error.hh"
+#include "util/snapshot.hh"
 #include "workload/synthetic.hh"
 
 namespace rsr
@@ -129,10 +132,120 @@ TEST_F(ParallelReplay, PhaseCountersAreConsistent)
     EXPECT_EQ(r.phases.skipInsts, r.skippedInsts);
     EXPECT_EQ(r.phases.measureInsts, r.hotInsts);
     EXPECT_EQ(r.hotInsts, 8u * 1500u);
-    EXPECT_GT(r.phases.peakSnapshotBytes, 0u);
+    // In-process replays time live machine copies: nothing is serialized.
+    EXPECT_EQ(r.phases.peakSnapshotBytes, 0u);
     EXPECT_GT(r.phases.skipSeconds, 0.0);
     EXPECT_GT(r.phases.measureSeconds, 0.0);
     EXPECT_GT(r.phases.captureSeconds, 0.0);
+
+    // A live-point store is where warm state leaves the process, so its
+    // capture serializes every cluster's machine.
+    auto store_policy = core::makePolicyByName("rsr40");
+    core::SampledResult front;
+    core::LivePointStore::create(*prog, *store_policy, *cfg, "gcc", "rsr40",
+                                 &front);
+    EXPECT_EQ(front.phases.skipInsts, r.phases.skipInsts);
+    EXPECT_GT(front.phases.peakSnapshotBytes, 0u);
+}
+
+/** Keeps the deferred front half's tasks for a test to replay by hand. */
+class CollectSink : public core::ReplaySink
+{
+  public:
+    void
+    onCluster(core::ClusterReplayTask task) override
+    {
+        tasks.push_back(std::move(task));
+    }
+
+    std::vector<core::ClusterReplayTask> tasks;
+};
+
+std::vector<core::ClusterReplayTask>
+captureTasks(const func::Program &prog, const char *policy_name,
+             const core::SampledConfig &cfg)
+{
+    const auto policy = core::makePolicyByName(policy_name);
+    core::ClusterScheduleDriver driver(prog, *policy, cfg);
+    CollectSink sink;
+    driver.runDeferred(sink);
+    return std::move(sink.tasks);
+}
+
+TEST_F(ParallelReplay, LiveAndSerializedWarmStateReplayIdentically)
+{
+    // An in-process task is timed on its live machine copy; a store task
+    // restores the same state from snapshot bytes. For every Table-2
+    // policy the two must measure each cluster bit for bit.
+    for (const char *name : table2Names) {
+        auto tasks = captureTasks(*prog, name, *cfg);
+        ASSERT_EQ(tasks.size(), cfg->regimen.numClusters) << name;
+        core::ReplayArena unused;
+        for (core::ClusterReplayTask &task : tasks) {
+            // Capture hands over a live machine and never serializes.
+            ASSERT_TRUE(task.warm) << name;
+            ASSERT_TRUE(task.machineState.empty()) << name;
+            // Serialize first: the live replay advances the machine.
+            std::vector<std::uint8_t> bytes = snapshotToBytes(*task.warm);
+            std::uint64_t live_recon = 0;
+            const uarch::RunResult live = core::replayCluster(
+                task, cfg->machine, unused, &live_recon);
+
+            // The measurement context is reusable: attach() rebuilds
+            // its reconstructor from the log it keeps.
+            task.warm.reset();
+            task.machineState = std::move(bytes);
+            core::ReplayArena fresh;
+            std::uint64_t stored_recon = 0;
+            const uarch::RunResult stored = core::replayCluster(
+                task, cfg->machine, fresh, &stored_recon);
+
+            const std::string at =
+                std::string(name) + " cluster " + std::to_string(task.index);
+            EXPECT_EQ(live.insts, stored.insts) << at;
+            EXPECT_EQ(live.cycles, stored.cycles) << at;
+            EXPECT_EQ(live.branchMispredicts, stored.branchMispredicts)
+                << at;
+            EXPECT_EQ(live.condBranches, stored.condBranches) << at;
+            EXPECT_EQ(live.loads, stored.loads) << at;
+            EXPECT_EQ(live.stores, stored.stores) << at;
+            EXPECT_EQ(live.forwardedLoads, stored.forwardedLoads) << at;
+            EXPECT_EQ(live.dispatchStallCycles, stored.dispatchStallCycles)
+                << at;
+            EXPECT_EQ(live.fetchBlockedCycles, stored.fetchBlockedCycles)
+                << at;
+            EXPECT_EQ(live_recon, stored_recon) << at;
+        }
+    }
+}
+
+TEST_F(ParallelReplay, LiveTaskRejectsMismatchedMachineGeometry)
+{
+    auto tasks = captureTasks(*prog, "rsr40", *cfg);
+    ASSERT_GE(tasks.size(), 4u);
+    core::ReplayArena arena;
+
+    core::MachineConfig bigger_l2 = cfg->machine;
+    bigger_l2.hier.l2.sizeBytes *= 2;
+    EXPECT_THROW(core::replayCluster(tasks[0], bigger_l2, arena),
+                 CorruptInputError);
+
+    core::MachineConfig bigger_pht = cfg->machine;
+    bigger_pht.bp.phtEntries *= 2;
+    EXPECT_THROW(core::replayCluster(tasks[1], bigger_pht, arena),
+                 CorruptInputError);
+
+    // The byte path rejects the same mismatch when the restore fails.
+    tasks[2].machineState = snapshotToBytes(*tasks[2].warm);
+    tasks[2].warm.reset();
+    core::ReplayArena store_arena;
+    EXPECT_THROW(core::replayCluster(tasks[2], bigger_l2, store_arena),
+                 CorruptInputError);
+
+    // Core parameters come from the replay configuration, as for a store.
+    core::MachineConfig smaller_rob = cfg->machine;
+    smaller_rob.core.robSize /= 2;
+    EXPECT_NO_THROW(core::replayCluster(tasks[3], smaller_rob, arena));
 }
 
 TEST_F(ParallelReplay, InlineDriverCountersMatchLegacyResult)
