@@ -4,8 +4,9 @@
  * baseline (BENCH_hot_loops.json).
  *
  * Measures the three inner loops this simulator spends its life in —
- * functional execute (pre-decoded step), the cache/warming fast path,
- * and the RSR skip-log append + reverse reconstruction scan — plus one
+ * functional execute (the unobserved kernel), the cache/warming fast
+ * path, and the RSR skip-log append (the kernel with the shipped R$
+ * observer) + reverse reconstruction scan — plus one
  * end-to-end quick-mode run of the full Table-2 policy matrix.
  *
  * Absolute rates are useless as a CI gate (runners differ wildly), so
@@ -27,6 +28,7 @@
 #include "cache/hierarchy.hh"
 #include "core/cache_reconstructor.hh"
 #include "core/skip_log.hh"
+#include "core/warmup.hh"
 #include "func/funcsim.hh"
 #include "harness/json.hh"
 #include "util/args.hh"
@@ -74,7 +76,10 @@ calibrationMopsPerSec(std::uint64_t iters)
     return static_cast<double>(iters) / secs / 1e6;
 }
 
-/** Functional skip-loop throughput: step(nullptr) over the workload. */
+/**
+ * Functional skip-loop throughput: the kernel with no observer, as the
+ * skip phase fast-forwards an unobserved prefix.
+ */
 double
 funcStepMinstsPerSec(const func::Program &program, std::uint64_t insts)
 {
@@ -82,11 +87,11 @@ funcStepMinstsPerSec(const func::Program &program, std::uint64_t insts)
     WallTimer timer;
     std::uint64_t done = 0;
     while (done < insts) {
-        if (!fs.step(nullptr)) {
+        const std::uint64_t want = insts - done;
+        const std::uint64_t ran = fs.run(want);
+        done += ran;
+        if (ran < want)
             fs.reset();
-            continue;
-        }
-        ++done;
     }
     return static_cast<double>(done) / timer.seconds() / 1e6;
 }
@@ -118,37 +123,35 @@ warmAccessMopsPerSec(std::uint64_t accesses)
 
 /**
  * RSR path: skip-log append plus the reverse reconstruction scan, the
- * two sides of the paper's storage-for-speed trade.
+ * two sides of the paper's storage-for-speed trade. The append runs the
+ * shipped R$ observer (core::SkipLogger) inside the functional kernel,
+ * exactly as the skip phase does.
  */
 double
 rsrMrefsPerSec(const func::Program &program, std::uint64_t log_refs,
                unsigned scans)
 {
+    // Kernel calls of this many instructions append at most two memory
+    // records each, so the reserved log never reallocates.
+    constexpr std::uint64_t chunk = 4096;
     func::FuncSim fs(program);
-    core::MemLog log;
-    log.reserve(log_refs);
+    core::SkipLog log;
+    log.mem.reserve(log_refs + 2 * chunk);
+    core::WarmupWork work;
     cache::MemoryHierarchy hier(cache::HierarchyParams::paperDefault());
     const std::uint64_t iline_mask =
         ~std::uint64_t{hier.il1().params().lineBytes - 1};
 
     WallTimer timer;
-    std::uint64_t last_iblock = ~std::uint64_t{0};
-    func::DynInst d;
-    while (log.size() < log_refs) {
-        if (!fs.step(&d)) {
-            fs.reset();
-            continue;
-        }
-        const std::uint64_t blk = d.pc & iline_mask;
-        if (blk != last_iblock)
-            log.append(d.pc, d.pc, true, false);
-        last_iblock = blk;
-        if (d.inst.isMem())
-            log.append(d.pc, d.effAddr, false, d.inst.isStore());
+    {
+        core::SkipLogger logger(log, work, true, false, iline_mask);
+        while (log.mem.size() < log_refs)
+            if (fs.execute(chunk, logger) < chunk)
+                fs.reset();
     }
-    std::uint64_t refs = log.size();
+    std::uint64_t refs = log.mem.size();
     for (unsigned s = 0; s < scans; ++s) {
-        const auto res = core::reconstructCaches(hier, log, 1.0);
+        const auto res = core::reconstructCaches(hier, log.mem, 1.0);
         refs += res.refsScanned;
     }
     return static_cast<double>(refs) / timer.seconds() / 1e6;

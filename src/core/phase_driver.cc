@@ -9,33 +9,80 @@ namespace rsr::core
 namespace
 {
 
-/**
- * The skip inner loop, templated on the concrete policy type. When @p P
- * is one of the final policy classes the onSkipInst() call resolves
- * statically and inlines; the WarmupPolicy instantiation is the generic
- * virtual fallback for user-defined policies.
- */
 /** Watchdog poll mask: cheap enough to check inside long skips. */
 constexpr std::uint64_t deadlineCheckMask = (1u << 16) - 1;
 
-template <typename P>
-void
-skipLoop(P &policy, func::FuncSim &fs, const Deadline *deadline,
-         std::uint64_t iline_mask, std::uint64_t begin, std::uint64_t end,
-         std::uint64_t last_iblock)
+/**
+ * Any policy without a kernel observer of its own: rebuild each
+ * committed record and hand it to the virtual onSkipInst().
+ */
+class PolicyAdapter : public func::FetchObserver
 {
-    func::DynInst d;
-    for (std::uint64_t i = begin; i < end; ++i) {
+  public:
+    PolicyAdapter(WarmupPolicy &policy, std::uint64_t iline_mask,
+                  std::uint64_t last_line)
+        : FetchObserver(iline_mask, last_line), policy(policy)
+    {}
+
+    void fetch(std::uint64_t) { newBlock = true; }
+
+    void
+    commit(std::uint64_t seq, std::uint64_t pc, std::uint64_t next_pc,
+           std::uint64_t eff_addr, const isa::Inst &inst)
+    {
+        policy.onSkipInst(func::makeDynInst(seq, pc, next_pc, eff_addr, inst),
+                          newBlock);
+        newBlock = false;
+    }
+
+  private:
+    WarmupPolicy &policy;
+    bool newBlock = false;
+};
+
+/**
+ * Deferred capture's observer: records the committed trace and trains
+ * the shared machine functionally, in commit order.
+ */
+class CaptureRecorder : public FunctionalWarmer
+{
+  public:
+    CaptureRecorder(Machine &machine, std::vector<func::DynInst> &trace,
+                    std::uint64_t iline_mask)
+        : FunctionalWarmer(machine, true, true, nullptr, iline_mask),
+          trace(trace)
+    {}
+
+    void
+    commit(std::uint64_t seq, std::uint64_t pc, std::uint64_t next_pc,
+           std::uint64_t eff_addr, const isa::Inst &inst)
+    {
+        trace.push_back(func::makeDynInst(seq, pc, next_pc, eff_addr, inst));
+    }
+
+  private:
+    std::vector<func::DynInst> &trace;
+};
+
+/**
+ * Run instructions [begin, end) of a skip region through the kernel in
+ * chunks that end on the watchdog's poll boundaries, polling @p deadline
+ * at every multiple of deadlineCheckMask + 1.
+ */
+template <class Obs>
+void
+executeRegion(func::FuncSim &fs, const Deadline *deadline, Obs &obs,
+              std::uint64_t begin, std::uint64_t end)
+{
+    for (std::uint64_t i = begin; i < end;) {
         if (deadline && (i & deadlineCheckMask) == 0 &&
             deadline->expired())
             throw TimeoutError("sampled run exceeded its deadline "
                                "inside a skip region");
-        const bool ok = fs.step(&d);
-        rsr_assert(ok, "workload halted inside a skip region");
-        const std::uint64_t blk = d.pc & iline_mask;
-        const bool new_block = blk != last_iblock;
-        last_iblock = blk;
-        policy.onSkipInst(d, new_block);
+        const std::uint64_t stop = std::min(end, (i | deadlineCheckMask) + 1);
+        const std::uint64_t done = fs.execute(stop - i, obs);
+        rsr_assert(done == stop - i, "workload halted inside a skip region");
+        i = stop;
     }
 }
 
@@ -47,39 +94,30 @@ SkipPhase::run(std::uint64_t skip_len)
     WallTimer timer;
     policy.beginSkip(skip_len);
 
-    // Fast-forward the unobserved prefix: no instruction record is
-    // captured and the policy is not called, only the last PC is tracked
-    // so the observed tail sees the same I-line boundary it would in a
-    // single pass.
+    // Fast-forward the unobserved prefix with no observer; the observed
+    // tail starts from the prefix's last I-line, as in a single pass.
     const std::uint64_t observe_from =
         std::min(policy.observeFrom(skip_len), skip_len);
-    std::uint64_t last_iblock = ~std::uint64_t{0};
-    if (observe_from > 0) {
-        std::uint64_t last_pc = 0;
-        for (std::uint64_t i = 0; i < observe_from; ++i) {
-            if (deadline && (i & deadlineCheckMask) == 0 &&
-                deadline->expired())
-                throw TimeoutError("sampled run exceeded its deadline "
-                                   "inside a skip region");
-            last_pc = fs.pc();
-            const bool ok = fs.step(nullptr);
-            rsr_assert(ok, "workload halted inside a skip region");
-        }
-        last_iblock = last_pc & ilineMask;
-    }
+    func::NullObserver none;
+    executeRegion(fs, deadline, none, 0, observe_from);
+    const std::uint64_t last_line =
+        observe_from > 0 ? fs.lastPc() & ilineMask : ~std::uint64_t{0};
 
-    if (auto *p = dynamic_cast<NoWarmup *>(&policy))
-        skipLoop(*p, fs, deadline, ilineMask, observe_from, skip_len,
-                 last_iblock);
-    else if (auto *p = dynamic_cast<FunctionalWarmup *>(&policy))
-        skipLoop(*p, fs, deadline, ilineMask, observe_from, skip_len,
-                 last_iblock);
-    else if (auto *p = dynamic_cast<ReverseReconstructionWarmup *>(&policy))
-        skipLoop(*p, fs, deadline, ilineMask, observe_from, skip_len,
-                 last_iblock);
-    else
-        skipLoop(policy, fs, deadline, ilineMask, observe_from, skip_len,
-                 last_iblock);
+    // One observer per region: the final policies' own, else the
+    // per-record adapter.
+    if (observe_from == skip_len) {
+        // Nothing left to observe (NoWarmup).
+    } else if (auto *p = dynamic_cast<FunctionalWarmup *>(&policy)) {
+        FunctionalWarmer obs = p->observer(ilineMask, last_line);
+        executeRegion(fs, deadline, obs, observe_from, skip_len);
+    } else if (auto *p =
+                   dynamic_cast<ReverseReconstructionWarmup *>(&policy)) {
+        SkipLogger obs = p->observer(ilineMask, last_line);
+        executeRegion(fs, deadline, obs, observe_from, skip_len);
+    } else {
+        PolicyAdapter obs(policy, ilineMask, last_line);
+        executeRegion(fs, deadline, obs, observe_from, skip_len);
+    }
     counters.skipInsts += skip_len;
     counters.skipSeconds += timer.seconds();
 }
@@ -125,21 +163,10 @@ CapturePhase::run(std::size_t index, const Cluster &cluster)
     // therefore the whole result — independent of the replay thread
     // count.
     task.trace.reserve(cluster.size);
-    func::DynInst d;
-    std::uint64_t last_iblock = ~std::uint64_t{0};
-    for (std::uint64_t i = 0; i < cluster.size; ++i) {
-        const bool ok = fs.step(&d);
-        rsr_assert(ok, "workload halted inside a cluster");
-        task.trace.push_back(d);
-        const std::uint64_t blk = d.pc & ilineMask;
-        if (blk != last_iblock)
-            machine.hier.warmAccess(d.pc, false, true);
-        last_iblock = blk;
-        if (d.inst.isMem())
-            machine.hier.warmAccess(d.effAddr, d.inst.isStore(), false);
-        if (d.isBranch())
-            machine.bp.warmApply(d.pc, d.inst.branchKind(), d.taken,
-                                 d.nextPc);
+    {
+        CaptureRecorder recorder(machine, task.trace, ilineMask);
+        const std::uint64_t done = fs.execute(cluster.size, recorder);
+        rsr_assert(done == cluster.size, "workload halted inside a cluster");
     }
     policy.afterCluster();
     counters.captureSeconds += capture.seconds();

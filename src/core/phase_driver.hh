@@ -130,9 +130,12 @@ class ReplaySink
 };
 
 /**
- * Functional fast-forward over one skip region: steps the functional
- * simulator, detects new fetch blocks for the policy, polls the
- * cooperative deadline, and accounts skip work into PhaseCounters.
+ * Functional fast-forward over one skip region: runs the functional
+ * kernel (FuncSim::execute) with one policy observer per region — none
+ * over the policy's unobserved prefix, then the final policy's own
+ * observer or the per-record adapter — in chunks that end where the
+ * cooperative deadline is polled, and accounts skip work into
+ * PhaseCounters.
  */
 class SkipPhase
 {

@@ -131,16 +131,8 @@ ReuseLatencyWarmup::onSkipInst(const func::DynInst &d, bool new_fetch_block)
 {
     if (skipPos++ < warmStart)
         return;
-    const std::uint64_t before = machine->hier.warmUpdates();
-    if (new_fetch_block)
-        machine->hier.warmAccess(d.pc, false, true);
-    if (d.inst.isMem())
-        machine->hier.warmAccess(d.effAddr, d.inst.isStore(), false);
-    work_.functionalUpdates += machine->hier.warmUpdates() - before;
-    if (d.isBranch()) {
-        machine->bp.warmApply(d.pc, d.inst.branchKind(), d.taken, d.nextPc);
-        ++work_.functionalUpdates;
-    }
+    FunctionalWarmer warm(*machine, true, true, &work_);
+    func::observeRecord(warm, d, new_fetch_block);
 }
 
 } // namespace rsr::core

@@ -16,7 +16,10 @@
  *
  * A policy observes every skipped instruction (the cold/warm phases) and
  * is notified at skip and cluster boundaries; the controller in
- * sampled_sim.hh drives it.
+ * sampled_sim.hh drives it. The final policies also hand the skip phase
+ * a functional-kernel observer (FunctionalWarmer, SkipLogger) that sees
+ * each fetch, data reference and branch from the executing opcode's own
+ * case; their per-record onSkipInst() runs the same observer hooks.
  */
 
 #ifndef RSR_CORE_WARMUP_HH
@@ -31,7 +34,7 @@
 #include "core/cache_reconstructor.hh"
 #include "core/machine.hh"
 #include "core/skip_log.hh"
-#include "func/dyninst.hh"
+#include "func/funcsim.hh"
 #include "util/snapshot.hh"
 
 namespace rsr::core
@@ -168,6 +171,126 @@ class WarmupPolicy
     WarmupWork work_;
 };
 
+/**
+ * Functional-kernel observer for functional warming (SMARTS, FP, and
+ * the commit-order training of deferred capture): each reported fetch,
+ * data reference and branch outcome updates the machine's caches and/or
+ * branch predictor on the spot, in the S$BP order. Given a WarmupWork,
+ * it adds the updates it applied when it goes out of scope.
+ * @p iline_mask and @p last_line are the kernel's I-line state (see
+ * func::FetchObserver); func::observeRecord() does not read them.
+ */
+class FunctionalWarmer : public func::FetchObserver
+{
+  public:
+    FunctionalWarmer(Machine &machine, bool warm_cache, bool warm_bp,
+                     WarmupWork *work, std::uint64_t iline_mask = 0,
+                     std::uint64_t last_line = ~std::uint64_t{0})
+        : FetchObserver(iline_mask, last_line), hier(machine.hier),
+          bp(machine.bp), warmCache(warm_cache), warmBp(warm_bp),
+          work(work), startUpdates(machine.hier.warmUpdates())
+    {}
+
+    FunctionalWarmer(const FunctionalWarmer &) = delete;
+    FunctionalWarmer &operator=(const FunctionalWarmer &) = delete;
+
+    ~FunctionalWarmer()
+    {
+        if (work)
+            work->functionalUpdates +=
+                hier.warmUpdates() - startUpdates + branchUpdates;
+    }
+
+    void
+    fetch(std::uint64_t pc)
+    {
+        if (warmCache)
+            hier.warmAccess(pc, false, true);
+    }
+
+    void
+    mem(std::uint64_t, std::uint64_t addr, bool is_store)
+    {
+        if (warmCache)
+            hier.warmAccess(addr, is_store, false);
+    }
+
+    void
+    branch(std::uint64_t pc, std::uint64_t next_pc, isa::BranchKind kind)
+    {
+        if (warmBp) {
+            bp.warmApply(pc, kind, next_pc != pc + 4, next_pc);
+            ++branchUpdates;
+        }
+    }
+
+  private:
+    cache::MemoryHierarchy &hier;
+    branch::GsharePredictor &bp;
+    bool warmCache;
+    bool warmBp;
+    WarmupWork *work;
+    std::uint64_t startUpdates;
+    std::uint64_t branchUpdates = 0;
+};
+
+/**
+ * Functional-kernel observer for Reverse State Reconstruction: appends
+ * each reported fetch and data reference to the memory log and each
+ * branch to the branch log, and adds the records it appended to
+ * WarmupWork::loggedRecords when it goes out of scope. The I-line
+ * arguments are as for FunctionalWarmer.
+ */
+class SkipLogger : public func::FetchObserver
+{
+  public:
+    SkipLogger(SkipLog &log, WarmupWork &work, bool log_cache, bool log_bp,
+               std::uint64_t iline_mask = 0,
+               std::uint64_t last_line = ~std::uint64_t{0})
+        : FetchObserver(iline_mask, last_line), log(log), work(work),
+          logCache(log_cache), logBp(log_bp), memStart(log.mem.size()),
+          branchStart(log.branches.size())
+    {}
+
+    SkipLogger(const SkipLogger &) = delete;
+    SkipLogger &operator=(const SkipLogger &) = delete;
+
+    ~SkipLogger()
+    {
+        work.loggedRecords += (log.mem.size() - memStart) +
+                              (log.branches.size() - branchStart);
+    }
+
+    void
+    fetch(std::uint64_t pc)
+    {
+        if (logCache)
+            log.mem.append(pc, pc, true, false);
+    }
+
+    void
+    mem(std::uint64_t pc, std::uint64_t addr, bool is_store)
+    {
+        if (logCache)
+            log.mem.append(pc, addr, false, is_store);
+    }
+
+    void
+    branch(std::uint64_t pc, std::uint64_t next_pc, isa::BranchKind kind)
+    {
+        if (logBp)
+            log.branches.push_back({pc, next_pc, kind, next_pc != pc + 4});
+    }
+
+  private:
+    SkipLog &log;
+    WarmupWork &work;
+    bool logCache;
+    bool logBp;
+    std::size_t memStart;
+    std::size_t branchStart;
+};
+
 /** "None": state is left entirely stale between clusters. */
 class NoWarmup final : public WarmupPolicy
 {
@@ -203,6 +326,14 @@ class FunctionalWarmup final : public WarmupPolicy
     std::string name() const override { return label; }
     void beginSkip(std::uint64_t skip_len) override;
     void onSkipInst(const func::DynInst &d, bool new_fetch_block) override;
+
+    /**
+     * The kernel observer for the rest of the current region (after
+     * observeFrom()): the region's instructions are then observed
+     * through it instead of onSkipInst().
+     */
+    FunctionalWarmer observer(std::uint64_t iline_mask,
+                              std::uint64_t last_line);
 
     /**
      * The cold prefix before warmStart is invisible to this policy;
@@ -258,6 +389,10 @@ class ReverseReconstructionWarmup final : public WarmupPolicy
     void beginSkip(std::uint64_t skip_len) override;
     void onSkipInst(const func::DynInst &d, bool new_fetch_block) override;
     void beforeCluster() override;
+
+    /** The kernel observer that logs the current region. */
+    SkipLogger observer(std::uint64_t iline_mask, std::uint64_t last_line);
+
     std::unique_ptr<MeasureContext> makeMeasureContext() override;
     void afterCluster() override;
 
@@ -294,50 +429,41 @@ std::vector<std::unique_ptr<WarmupPolicy>> makeTable2Policies();
  */
 std::unique_ptr<WarmupPolicy> makePolicyByName(const std::string &name);
 
-// Per-skipped-instruction policy hooks, defined inline: the skip loop
-// (phase_driver.cc) dispatches on the concrete final policy type once per
-// skip region, so these bodies inline into the loop instead of costing an
-// indirect call per skipped instruction.
+// Per-record policy hooks, defined inline through the same observers the
+// skip phase (phase_driver.cc) runs inside the functional kernel, so each
+// policy's per-event behaviour is written once.
 
 inline void
 FunctionalWarmup::onSkipInst(const func::DynInst &d, bool new_fetch_block)
 {
-    const bool in_warm = skipPos++ >= warmStart;
-    if (!in_warm)
+    if (skipPos++ < warmStart)
         return;
-    if (warmCache) {
-        const std::uint64_t before = machine->hier.warmUpdates();
-        if (new_fetch_block)
-            machine->hier.warmAccess(d.pc, false, true);
-        if (d.inst.isMem())
-            machine->hier.warmAccess(d.effAddr, d.inst.isStore(), false);
-        work_.functionalUpdates += machine->hier.warmUpdates() - before;
-    }
-    if (warmBp && d.isBranch()) {
-        machine->bp.warmApply(d.pc, d.inst.branchKind(), d.taken, d.nextPc);
-        ++work_.functionalUpdates;
-    }
+    FunctionalWarmer warm(*machine, warmCache, warmBp, &work_);
+    func::observeRecord(warm, d, new_fetch_block);
+}
+
+inline FunctionalWarmer
+FunctionalWarmup::observer(std::uint64_t iline_mask, std::uint64_t last_line)
+{
+    skipPos = skipLen;
+    return FunctionalWarmer(*machine, warmCache, warmBp, &work_, iline_mask,
+                            last_line);
 }
 
 inline void
 ReverseReconstructionWarmup::onSkipInst(const func::DynInst &d,
                                         bool new_fetch_block)
 {
-    if (warmCache) {
-        if (new_fetch_block) {
-            skipLog.mem.append(d.pc, d.pc, true, false);
-            ++work_.loggedRecords;
-        }
-        if (d.inst.isMem()) {
-            skipLog.mem.append(d.pc, d.effAddr, false, d.inst.isStore());
-            ++work_.loggedRecords;
-        }
-    }
-    if (warmBp && d.isBranch()) {
-        skipLog.branches.push_back(
-            {d.pc, d.nextPc, d.inst.branchKind(), d.taken});
-        ++work_.loggedRecords;
-    }
+    SkipLogger logger(skipLog, work_, warmCache, warmBp);
+    func::observeRecord(logger, d, new_fetch_block);
+}
+
+inline SkipLogger
+ReverseReconstructionWarmup::observer(std::uint64_t iline_mask,
+                                      std::uint64_t last_line)
+{
+    return SkipLogger(skipLog, work_, warmCache, warmBp, iline_mask,
+                      last_line);
 }
 
 } // namespace rsr::core

@@ -1,7 +1,3 @@
-// The functional simulator's step loop executes every skipped and
-// measured instruction; it is a lint-enforced hot path.
-// rsrlint: hot
-
 #include "funcsim.hh"
 
 namespace rsr::func
@@ -29,16 +25,15 @@ FuncSim::reset()
         for (std::size_t i = 0; i < seg.bytes.size(); ++i)
             mem_.writeByte(seg.base + i, seg.bytes[i]);
     icount = 0;
+    lastPc_ = 0;
     isHalted = false;
 }
 
 std::uint64_t
 FuncSim::run(std::uint64_t n)
 {
-    std::uint64_t done = 0;
-    while (done < n && step(nullptr))
-        ++done;
-    return done;
+    NullObserver none;
+    return execute(n, none);
 }
 
 } // namespace rsr::func
