@@ -7,11 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "branch/predictor.hh"
 #include "cache/hierarchy.hh"
+#include "core/machine.hh"
+#include "core/phase_driver.hh"
+#include "core/warmup.hh"
+#include "func/funcsim.hh"
 #include "uarch/core.hh"
+#include "workload/synthetic.hh"
 
 namespace rsr::uarch
 {
@@ -472,6 +479,162 @@ TEST(OoOCore, StallCounterspopulated)
     EXPECT_GT(r.dispatchStallCycles, 100u);
     EXPECT_GT(r.fetchBlockedCycles, 0u);
     EXPECT_EQ(r.loads, 300u);
+}
+
+// ---------------------------------------------------------------------------
+// Pinned results: recorded cluster traces replayed on warmed machine
+// copies under the default core and under variants that stress each
+// structural limit. The constants were produced by the reference
+// implementation; any change to the timing core that moves a single
+// cycle, stall or counter under any of these configurations fails here.
+// ---------------------------------------------------------------------------
+
+struct PinnedRun
+{
+    const char *workload;
+    const char *variant;
+    RunResult expect;
+};
+
+struct CoreVariant
+{
+    const char *name;
+    CoreParams params;
+};
+
+std::vector<CoreVariant>
+pinnedVariants()
+{
+    std::vector<CoreVariant> v;
+    v.push_back({"default", CoreParams{}});
+    CoreParams p;
+    p.robSize = 48;
+    v.push_back({"rob48", p});
+    p = CoreParams{};
+    p.robSize = 100;
+    v.push_back({"rob100", p});
+    p = CoreParams{};
+    p.robSize = 8;
+    p.iqSize = 8;
+    v.push_back({"rob8iq8", p});
+    p = CoreParams{};
+    p.issueWidth = 1;
+    p.numFUs = 1;
+    v.push_back({"issue1", p});
+    p = CoreParams{};
+    p.maxUnresolvedBranches = 1;
+    v.push_back({"br1", p});
+    p = CoreParams{};
+    p.fetchBufferSize = 1;
+    v.push_back({"fetchbuf1", p});
+    p = CoreParams{};
+    p.storeForwarding = true;
+    v.push_back({"forwarding", p});
+    return v;
+}
+
+TEST(OoOCore, RunResultPinnedAcrossCoreParams)
+{
+    // Fields: insts, cycles, branchMispredicts, condBranches, loads,
+    // stores, forwardedLoads, dispatchStallCycles, fetchBlockedCycles.
+    static const PinnedRun pinned[] = {
+        {"gcc", "default",
+         {5000u, 27352u, 115u, 352u, 572u, 115u, 0u, 6955u, 22680u}},
+        {"gcc", "rob48",
+         {5000u, 29468u, 111u, 352u, 572u, 115u, 0u, 9198u, 22511u}},
+        {"gcc", "rob100",
+         {5000u, 23934u, 103u, 352u, 572u, 115u, 0u, 4311u, 20394u}},
+        {"gcc", "rob8iq8",
+         {5000u, 44849u, 112u, 352u, 572u, 115u, 0u, 27195u, 29238u}},
+        {"gcc", "issue1",
+         {5000u, 28068u, 115u, 352u, 572u, 115u, 0u, 7101u, 23295u}},
+        {"gcc", "br1",
+         {5000u, 29984u, 110u, 352u, 572u, 115u, 0u, 11483u, 23011u}},
+        {"gcc", "fetchbuf1",
+         {5000u, 33464u, 109u, 352u, 572u, 115u, 0u, 707u, 17943u}},
+        {"gcc", "forwarding",
+         {5000u, 27352u, 115u, 352u, 572u, 115u, 5u, 6955u, 22680u}},
+        {"mcf", "default",
+         {5000u, 85815u, 127u, 296u, 911u, 61u, 0u, 66955u, 39597u}},
+        {"mcf", "rob48",
+         {5000u, 85840u, 122u, 296u, 911u, 61u, 0u, 69139u, 41039u}},
+        {"mcf", "rob100",
+         {5000u, 85815u, 126u, 296u, 911u, 61u, 0u, 67818u, 40246u}},
+        {"mcf", "rob8iq8",
+         {5000u, 110875u, 142u, 296u, 911u, 61u, 0u, 90665u, 61419u}},
+        {"mcf", "issue1",
+         {5000u, 85819u, 127u, 296u, 911u, 61u, 0u, 66719u, 39718u}},
+        {"mcf", "br1",
+         {5000u, 85815u, 130u, 296u, 911u, 61u, 0u, 67233u, 39929u}},
+        {"mcf", "fetchbuf1",
+         {5000u, 85837u, 119u, 296u, 911u, 61u, 0u, 55069u, 15628u}},
+        {"mcf", "forwarding",
+         {5000u, 85815u, 127u, 296u, 911u, 61u, 0u, 66955u, 39597u}},
+        {"twolf", "default",
+         {5000u, 7499u, 170u, 329u, 537u, 78u, 0u, 309u, 6559u}},
+        {"twolf", "rob48",
+         {5000u, 7510u, 167u, 329u, 537u, 78u, 0u, 649u, 6457u}},
+        {"twolf", "rob100",
+         {5000u, 7446u, 170u, 329u, 537u, 78u, 0u, 192u, 6573u}},
+        {"twolf", "rob8iq8",
+         {5000u, 11594u, 168u, 329u, 537u, 78u, 0u, 6966u, 7966u}},
+        {"twolf", "issue1",
+         {5000u, 9160u, 167u, 329u, 537u, 78u, 0u, 882u, 7960u}},
+        {"twolf", "br1",
+         {5000u, 8362u, 167u, 329u, 537u, 78u, 0u, 2816u, 6492u}},
+        {"twolf", "fetchbuf1",
+         {5000u, 18200u, 166u, 329u, 537u, 78u, 0u, 0u, 3674u}},
+        {"twolf", "forwarding",
+         {5000u, 7499u, 170u, 329u, 537u, 78u, 0u, 309u, 6559u}},
+    };
+
+    constexpr std::uint64_t warm_insts = 300'000;
+    constexpr std::uint64_t cluster_insts = 5'000;
+    const auto mc = core::MachineConfig::scaledDefault();
+    const auto variants = pinnedVariants();
+    std::size_t row = 0;
+    for (const char *name : {"gcc", "mcf", "twolf"}) {
+        const auto prog = workload::buildSynthetic(
+            workload::standardWorkloadParams(name));
+        func::FuncSim fs(prog);
+        core::Machine warm(mc);
+        const std::uint64_t iline_mask =
+            ~std::uint64_t{warm.hier.il1().params().lineBytes - 1};
+        {
+            core::FunctionalWarmer warmer(warm, true, true, nullptr,
+                                          iline_mask);
+            ASSERT_EQ(fs.execute(warm_insts, warmer), warm_insts);
+        }
+        std::vector<DynInst> trace(cluster_insts);
+        for (auto &d : trace)
+            ASSERT_TRUE(fs.step(&d));
+
+        for (const auto &v : variants) {
+            core::Machine m(warm);
+            OoOCore core(v.params, m.hier, m.bp);
+            core::TraceSource src(trace);
+            const RunResult r = core.run(src, cluster_insts);
+            ASSERT_LT(row, std::size(pinned));
+            const PinnedRun &p = pinned[row];
+            ASSERT_EQ(std::string(p.workload), name);
+            ASSERT_EQ(std::string(p.variant), v.name);
+            const std::string at = std::string(name) + "/" + v.name;
+            EXPECT_EQ(r.insts, p.expect.insts) << at;
+            EXPECT_EQ(r.cycles, p.expect.cycles) << at;
+            EXPECT_EQ(r.branchMispredicts, p.expect.branchMispredicts)
+                << at;
+            EXPECT_EQ(r.condBranches, p.expect.condBranches) << at;
+            EXPECT_EQ(r.loads, p.expect.loads) << at;
+            EXPECT_EQ(r.stores, p.expect.stores) << at;
+            EXPECT_EQ(r.forwardedLoads, p.expect.forwardedLoads) << at;
+            EXPECT_EQ(r.dispatchStallCycles, p.expect.dispatchStallCycles)
+                << at;
+            EXPECT_EQ(r.fetchBlockedCycles, p.expect.fetchBlockedCycles)
+                << at;
+            ++row;
+        }
+    }
+    EXPECT_EQ(row, std::size(pinned));
 }
 
 } // namespace
