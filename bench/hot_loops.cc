@@ -3,11 +3,12 @@
  * Hot-loop throughput benchmark, and the source of the perf-smoke CI
  * baseline (BENCH_hot_loops.json).
  *
- * Measures the three inner loops this simulator spends its life in —
+ * Measures the inner loops this simulator spends its life in —
  * functional execute (the unobserved kernel), the cache/warming fast
- * path, and the RSR skip-log append (the kernel with the shipped R$
- * observer) + reverse reconstruction scan — plus one
- * end-to-end quick-mode run of the full Table-2 policy matrix.
+ * path, the RSR skip-log append (the kernel with the shipped R$
+ * observer) + reverse reconstruction scan, and the out-of-order timing
+ * core over recorded cluster traces — plus one end-to-end quick-mode
+ * run of the full Table-2 policy matrix.
  *
  * Absolute rates are useless as a CI gate (runners differ wildly), so
  * every metric is also reported normalized against a fixed integer
@@ -23,14 +24,18 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench_common.hh"
 #include "cache/hierarchy.hh"
 #include "core/cache_reconstructor.hh"
+#include "core/machine.hh"
+#include "core/phase_driver.hh"
 #include "core/skip_log.hh"
 #include "core/warmup.hh"
 #include "func/funcsim.hh"
 #include "harness/json.hh"
+#include "uarch/core.hh"
 #include "util/args.hh"
 #include "util/error.hh"
 #include "util/fileio.hh"
@@ -157,6 +162,76 @@ rsrMrefsPerSec(const func::Program &program, std::uint64_t log_refs,
     return static_cast<double>(refs) / timer.seconds() / 1e6;
 }
 
+/** One recorded cluster: the machine warmed up to its start, and its
+ *  committed instruction trace. */
+struct RecordedCluster
+{
+    core::Machine warm;
+    std::vector<func::DynInst> trace;
+};
+
+/**
+ * Record @p n_clusters clusters of @p cluster_size instructions, each
+ * after a functionally warmed (S$BP-style) skip of @p skip instructions.
+ */
+std::vector<RecordedCluster>
+recordClusters(const func::Program &program,
+               const core::MachineConfig &mc, std::size_t n_clusters,
+               std::uint64_t cluster_size, std::uint64_t skip)
+{
+    func::FuncSim fs(program);
+    core::Machine machine(mc);
+    const std::uint64_t iline_mask =
+        ~std::uint64_t{machine.hier.il1().params().lineBytes - 1};
+    std::vector<RecordedCluster> clusters;
+    clusters.reserve(n_clusters);
+    while (clusters.size() < n_clusters) {
+        {
+            core::FunctionalWarmer warmer(machine, true, true, nullptr,
+                                          iline_mask);
+            if (fs.execute(skip, warmer) < skip) {
+                fs.reset();
+                continue;
+            }
+        }
+        RecordedCluster c{machine, {}};
+        c.trace.resize(cluster_size);
+        bool whole = true;
+        for (auto &d : c.trace)
+            whole = whole && fs.step(&d);
+        if (!whole) {
+            fs.reset();
+            continue;
+        }
+        clusters.push_back(std::move(c));
+    }
+    return clusters;
+}
+
+/**
+ * Timing-core throughput: OoOCore over every recorded cluster, each on
+ * its own copy of the warmed machine, as deferred and live-point
+ * replays run it. The copies are made before the clock starts, so the
+ * rate is the timing model's alone.
+ */
+double
+uarchMinstsPerSec(const std::vector<RecordedCluster> &clusters,
+                  const uarch::CoreParams &params)
+{
+    std::vector<core::Machine> machines;
+    machines.reserve(clusters.size());
+    for (const auto &c : clusters)
+        machines.push_back(c.warm);
+    std::uint64_t insts = 0;
+    WallTimer timer;
+    for (std::size_t i = 0; i < clusters.size(); ++i) {
+        uarch::OoOCore core(params, machines[i].hier, machines[i].bp);
+        core::TraceSource src(clusters[i].trace);
+        insts += core.run(src, clusters[i].trace.size()).insts;
+    }
+    return static_cast<double>(insts) / timer.seconds() / 1e6;
+}
+
 /**
  * End-to-end quick-mode Table-2 matrix: every policy, one workload,
  * sampled exactly as `rsr_sim sample` runs it. Returns instructions
@@ -194,7 +269,8 @@ main(int argc, char **argv)
     const bool quick = args.has("quick");
     const std::string out_path = args.get("out", "BENCH_hot_loops.json");
 
-    bench::banner("Hot-loop throughput: func step, cache warm, RSR scan",
+    bench::banner("Hot-loop throughput: func step, cache warm, RSR scan, "
+                  "timing core",
                   quick ? "quick mode (CI perf-smoke sizing)"
                         : "full mode");
 
@@ -205,6 +281,7 @@ main(int argc, char **argv)
     const std::uint64_t warm_accesses = quick ? 8'000'000 : 32'000'000;
     const std::uint64_t rsr_refs = quick ? 2'000'000 : 8'000'000;
     const unsigned rsr_scans = 4;
+    const std::size_t uarch_clusters = quick ? 50 : 200;
 
     auto setups = bench::prepareWorkloads(false, quick ? 1'000'000
                                                        : 4'000'000);
@@ -236,6 +313,13 @@ main(int argc, char **argv)
     });
     std::printf("rsr log+scan     %8.1f Mref/s\n", rsr_rate);
 
+    const auto clusters = recordClusters(setup.program, setup.cfg.machine,
+                                         uarch_clusters, 3000, 20'000);
+    const double uarch_rate = bestOf(3, [&] {
+        return uarchMinstsPerSec(clusters, setup.cfg.machine.core);
+    });
+    std::printf("timing core      %8.1f Minst/s\n", uarch_rate);
+
     const double e2e_rate = bestOf(2, [&] {
         return table2MinstsPerSec(setup);
     });
@@ -249,10 +333,12 @@ main(int argc, char **argv)
         .put("func_minsts", func_rate)
         .put("warm_maccess", warm_rate)
         .put("rsr_mrefs", rsr_rate)
+        .put("uarch_minsts", uarch_rate)
         .put("e2e_minsts", e2e_rate)
         .put("norm_func", func_rate / calib)
         .put("norm_warm", warm_rate / calib)
         .put("norm_rsr", rsr_rate / calib)
+        .put("norm_uarch", uarch_rate / calib)
         .put("norm_e2e", e2e_rate / calib);
     atomicWriteFile(out_path, j.str() + "\n");
     std::printf("wrote %s\n", out_path.c_str());

@@ -131,7 +131,14 @@ applyMachineOption(MachineConfig &config, const std::string &key,
         if (it == fields.end())
             rsr_throw_user("unknown core config field in key '", key,
                            "'");
-        config.core.*(it->second) = u32;
+        if (v != u32)
+            rsr_throw_user("config key '", key, "' value ", v,
+                           " does not fit in 32 bits");
+        uarch::CoreParams core = config.core;
+        core.*(it->second) = u32;
+        if (const std::string why = core.sizeError(); !why.empty())
+            rsr_throw_user("config ", why);
+        config.core = core;
     } else {
         rsr_throw_user("unknown config section in key '", key, "'");
     }

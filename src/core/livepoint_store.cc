@@ -105,6 +105,8 @@ getMachineConfig(ByteSource &in)
           &c.fetchBufferSize, &c.intAluLat, &c.intMulLat, &c.intDivLat,
           &c.fpAddLat, &c.fpMulLat, &c.fpDivLat})
         *v = in.getU32();
+    if (const std::string why = c.sizeError(); !why.empty())
+        rsr_throw_corrupt("machine config: ", why);
     return m;
 }
 

@@ -1,12 +1,23 @@
 // The cycle-accurate out-of-order core model: every measured
 // instruction passes through here, so this file is a lint-enforced hot
 // path (no stream flushes, no throw statements).
+//
+// In-flight bookkeeping, all sized from CoreParams when run() starts:
+// the ROB and the fetch buffer are power-of-two rings indexed by the
+// instruction's fetch-order sequence number, so a lookup is a mask;
+// operand readiness is pushed by producers (wake-up) instead of polled
+// by consumers; and the idle-cycle skip finds the next completion in a
+// flat per-slot array. Every modeled outcome is that of an
+// oldest-first scan over the whole ROB in every cycle
+// (OoOCore.RunResultPinnedAcrossCoreParams pins it).
 // rsrlint: hot
 
 #include "core.hh"
 
 #include <algorithm>
-#include <deque>
+#include <bit>
+#include <string>
+#include <vector>
 
 #include "util/logging.hh"
 
@@ -149,22 +160,72 @@ isMispredict(const branch::Prediction &p, const DynInst &d)
 
 } // namespace
 
+std::string
+CoreParams::sizeError() const
+{
+    const struct
+    {
+        const char *key;
+        unsigned value;
+    } sizes[] = {
+        {"core.fetch_width", fetchWidth},
+        {"core.dispatch_width", dispatchWidth},
+        {"core.issue_width", issueWidth},
+        {"core.retire_width", retireWidth},
+        {"core.rob_size", robSize},
+        {"core.iq_size", iqSize},
+        {"core.lsq_size", lsqSize},
+        {"core.num_fus", numFUs},
+        {"core.max_unresolved_branches", maxUnresolvedBranches},
+        {"core.fetch_buffer_size", fetchBufferSize},
+    };
+    for (const auto &s : sizes)
+        if (s.value == 0 || s.value > maxSize)
+            return std::string(s.key) + " = " + std::to_string(s.value) +
+                   " is outside [1, " + std::to_string(maxSize) + "]";
+    return {};
+}
+
 OoOCore::OoOCore(const CoreParams &params, cache::MemoryHierarchy &hier,
                  branch::GsharePredictor &bp)
     : params_(params), hier(hier), bp(bp)
-{}
+{
+    rsr_assert(params_.sizeError().empty(), "invalid core parameters: ",
+               params_.sizeError());
+}
 
 RunResult
 OoOCore::run(InstSource &src, std::uint64_t max_insts)
 {
+    /** Sentinel of a consumer-link list. */
+    constexpr std::uint32_t noLink = ~std::uint32_t{0};
+
+    /**
+     * One ROB entry. Instructions are numbered in fetch order from 0
+     * (their "sequence"); sequence s lives in slot s & rob_mask, so the
+     * ROB is a ring and every lookup by sequence is a mask.
+     *
+     * Dependences use producer wake-up: a consumer dispatched while a
+     * producer is unissued links one of its two per-source links into
+     * the producer's consumer list (link id = slot * 2 + source index)
+     * and counts it in `pending`. When the producer issues it folds its
+     * completion cycle into each linked consumer's readyBase and
+     * decrements the count, so issue only tests
+     * `pending == 0 && readyBase <= now`.
+     */
     struct Flight
     {
         DynInst d;
-        /** Earliest issue cycle from latched operand availability. */
+        /** Earliest issue cycle from operand availability. */
         std::uint64_t readyBase = 0;
-        std::uint64_t completeCycle = 0;
+        /** Head of the list of consumer links waiting on this entry. */
+        std::uint32_t consumers = noLink;
+        /** Next link in a producer's list, one per source. */
+        std::uint32_t nextLink[2] = {noLink, noLink};
         /** Unissued producers this instruction still waits on. */
-        std::uint64_t depSeq[2] = {noSeq, noSeq};
+        std::uint8_t pending = 0;
+        /** Destination register slot, or -1. */
+        std::int8_t dst = -1;
         bool issued = false;
         bool isMem = false;
         bool isLoad = false;
@@ -184,21 +245,36 @@ OoOCore::run(InstSource &src, std::uint64_t max_insts)
     if (max_insts == 0)
         return res;
 
-    std::deque<Fetched> fetchBuf;
-    std::deque<Flight> rob;
+    // Fixed power-of-two rings sized from the parameters. The fetch
+    // buffer holds sequences [fb_head, fb_tail) and the ROB holds
+    // [rob_head, rob_tail); dispatch moves fb_head to rob_tail, so both
+    // counters are the sequence of the entry they point at.
+    const std::uint64_t rob_cap = std::bit_ceil(params_.robSize);
+    const std::uint64_t rob_mask = rob_cap - 1;
+    const std::uint64_t fb_mask =
+        std::bit_ceil(params_.fetchBufferSize) - 1;
+    const std::uint64_t st_mask = std::bit_ceil(params_.lsqSize) - 1;
+    std::vector<Flight> rob(rob_cap);
+    std::vector<Fetched> fetch_buf(fb_mask + 1);
+    // Completion cycle per ROB slot: 0 while the slot's instruction is
+    // unissued; a retired slot keeps a cycle <= now. The idle-cycle
+    // skip finds the next completion with a flat scan of this array.
+    std::vector<std::uint64_t> complete(rob_cap, 0);
+    // In-flight stores in age order (they leave in commit order).
+    std::vector<std::uint64_t> st_ring(st_mask + 1);
+    std::uint64_t rob_head = 0, rob_tail = 0;
+    std::uint64_t fb_head = 0, fb_tail = 0;
+    std::uint64_t st_head = 0, st_tail = 0;
+
     // Age-ordered work lists over the ROB, so the per-cycle stages visit
-    // exactly the entries they can act on instead of scanning every
-    // in-flight instruction: sequence numbers of waiting (unissued)
-    // instructions, of dispatched-but-unresolved branches, and of
-    // in-flight stores. List order is dispatch order, i.e. age order, so
-    // each stage sees entries oldest-first exactly as a full ROB scan
-    // would.
+    // exactly the entries they can act on: sequences of waiting
+    // (unissued) instructions and of dispatched-but-unresolved branches.
+    // List order is dispatch order, i.e. age order, so each stage sees
+    // entries oldest-first exactly as a full ROB scan would.
     std::vector<std::uint64_t> iq_seqs;
     std::vector<std::uint64_t> br_seqs;
-    std::vector<std::uint64_t> st_seqs;
     iq_seqs.reserve(params_.iqSize);
     br_seqs.reserve(params_.maxUnresolvedBranches);
-    st_seqs.reserve(params_.lsqSize);
     unsigned lsq_count = 0;
     std::uint64_t reg_ready[64] = {};
     std::uint64_t last_writer[64];
@@ -215,19 +291,15 @@ OoOCore::run(InstSource &src, std::uint64_t max_insts)
 
     const std::uint64_t line_mask =
         ~std::uint64_t{hier.il1().params().lineBytes - 1};
-
-    auto flight_of = [&](std::uint64_t seq) -> Flight * {
-        if (rob.empty() || seq < rob.front().d.seq)
-            return nullptr; // already retired
-        const std::uint64_t idx = seq - rob.front().d.seq;
-        return idx < rob.size() ? &rob[idx] : nullptr;
-    };
+    const unsigned issue_limit =
+        std::min(params_.issueWidth, params_.numFUs);
 
     const std::uint64_t cycle_limit =
         max_insts * 2000 + 10'000'000ull; // runaway-model guard
 
     while (true) {
-        if (src_done && !pending_valid && fetchBuf.empty() && rob.empty())
+        if (src_done && !pending_valid && fb_head == fb_tail &&
+            rob_head == rob_tail)
             break;
         rsr_assert(now < cycle_limit, "timing model failed to make "
                    "progress (cycle ", now, ")");
@@ -243,28 +315,29 @@ OoOCore::run(InstSource &src, std::uint64_t max_insts)
         // oldest first; an entry leaves the list the cycle it resolves,
         // and resolution gates commit, so every listed seq is still in
         // the ROB.
-        for (auto it = br_seqs.begin(); it != br_seqs.end();) {
-            Flight &f = rob[*it - rob.front().d.seq];
-            if (f.issued && f.completeCycle <= now) {
-                f.resolved = true;
-                ++resolved_n;
-                if (f.mispredicted && waiting_branch == f.d.seq) {
-                    fetch_blocked_until =
-                        std::max(now, f.completeCycle +
-                                          params_.minMispredictPenalty);
-                    waiting_branch = noSeq;
-                    cur_fetch_block = ~std::uint64_t{0};
-                }
-                it = br_seqs.erase(it);
-            } else {
-                ++it;
+        std::size_t kept = 0;
+        for (const std::uint64_t seq : br_seqs) {
+            Flight &f = rob[seq & rob_mask];
+            const std::uint64_t done = complete[seq & rob_mask];
+            if (!(f.issued && done <= now)) {
+                br_seqs[kept++] = seq;
+                continue;
+            }
+            f.resolved = true;
+            ++resolved_n;
+            if (f.mispredicted && waiting_branch == seq) {
+                fetch_blocked_until = std::max(
+                    now, done + params_.minMispredictPenalty);
+                waiting_branch = noSeq;
+                cur_fetch_block = ~std::uint64_t{0};
             }
         }
+        br_seqs.resize(kept);
 
         // -------------------------------------------------------- commit
-        while (!rob.empty() && committed < params_.retireWidth) {
-            Flight &f = rob.front();
-            if (!(f.issued && f.completeCycle <= now))
+        while (rob_head != rob_tail && committed < params_.retireWidth) {
+            const Flight &f = rob[rob_head & rob_mask];
+            if (!(f.issued && complete[rob_head & rob_mask] <= now))
                 break;
             if (f.isBranch && !f.resolved)
                 break;
@@ -272,7 +345,7 @@ OoOCore::run(InstSource &src, std::uint64_t max_insts)
                 --lsq_count;
                 // A committing store is the oldest in-flight store.
                 if (!f.isLoad)
-                    st_seqs.erase(st_seqs.begin());
+                    ++st_head;
             }
             if (f.isBranch) {
                 const BranchKind kind = f.d.inst.branchKind();
@@ -280,83 +353,83 @@ OoOCore::run(InstSource &src, std::uint64_t max_insts)
             }
             ++res.insts;
             ++committed;
-            rob.pop_front();
+            ++rob_head;
         }
 
         // --------------------------------------------------------- issue
-        // Visit exactly the waiting entries, oldest first.
-        for (auto it = iq_seqs.begin();
-             it != iq_seqs.end() && issued_n < params_.issueWidth &&
-             issued_n < params_.numFUs;) {
-            Flight &f = rob[*it - rob.front().d.seq];
-            // Resolve latched dependences on producers.
-            bool deps_ok = true;
-            for (auto &dep : f.depSeq) {
-                if (dep == noSeq)
-                    continue;
-                Flight *w = flight_of(dep);
-                if (w && !w->issued) {
-                    deps_ok = false;
-                    continue;
-                }
-                if (w)
-                    f.readyBase = std::max(f.readyBase, w->completeCycle);
-                dep = noSeq;
-            }
-            if (!deps_ok || f.readyBase > now) {
-                ++it;
+        // Visit the waiting entries oldest first; the ones left waiting
+        // are compacted to the front of the list in order.
+        kept = 0;
+        std::size_t next_iq = 0;
+        for (; next_iq < iq_seqs.size() && issued_n < issue_limit;
+             ++next_iq) {
+            const std::uint64_t seq = iq_seqs[next_iq];
+            const std::uint64_t slot = seq & rob_mask;
+            Flight &f = rob[slot];
+            if (f.pending != 0 || f.readyBase > now) {
+                iq_seqs[kept++] = seq;
                 continue;
             }
 
             f.issued = true;
             ++issued_n;
+            std::uint64_t done;
             if (f.isLoad) {
                 ++res.loads;
                 // Store-to-load forwarding: the youngest older in-flight
                 // store to the same word supplies the data from the LSQ.
-                const Flight *fwd = nullptr;
-                if (params_.storeForwarding && !st_seqs.empty()) {
-                    const std::uint64_t base = rob.front().d.seq;
-                    for (const std::uint64_t sseq : st_seqs) {
-                        if (sseq >= f.d.seq)
+                std::uint64_t fwd = noSeq;
+                if (params_.storeForwarding) {
+                    for (std::uint64_t i = st_head; i != st_tail; ++i) {
+                        const std::uint64_t sseq = st_ring[i & st_mask];
+                        if (sseq >= seq)
                             break;
-                        const Flight &st = rob[sseq - base];
+                        const Flight &st = rob[sseq & rob_mask];
                         if (st.issued &&
                             (st.d.effAddr & ~7ull) == (f.d.effAddr & ~7ull))
-                            fwd = &st;
+                            fwd = sseq;
                     }
                 }
-                if (fwd) {
+                if (fwd != noSeq) {
                     ++res.forwardedLoads;
-                    f.completeCycle =
-                        std::max(now, fwd->completeCycle) +
-                        params_.forwardLatency;
+                    done = std::max(now, complete[fwd & rob_mask]) +
+                           params_.forwardLatency;
                 } else {
-                    f.completeCycle = hier.timedLoad(now, f.d.effAddr);
+                    done = hier.timedLoad(now, f.d.effAddr);
                 }
             } else if (f.isMem) {
                 ++res.stores;
                 hier.timedStore(now, f.d.effAddr);
-                f.completeCycle = now + params_.intAluLat;
+                done = now + params_.intAluLat;
             } else {
-                f.completeCycle =
-                    now + params_.latencyFor(f.d.inst.opClass());
+                done = now + params_.latencyFor(f.d.inst.opClass());
             }
+            complete[slot] = done;
             // Publish the value-ready time only while this is still the
-            // youngest writer; younger writers are tracked via depSeq.
-            const int dst = destOf(f.d.inst);
-            if (dst >= 0 && last_writer[dst] == f.d.seq)
-                reg_ready[dst] = f.completeCycle;
-            it = iq_seqs.erase(it);
+            // youngest writer; younger writers' consumers are linked to
+            // them instead.
+            if (f.dst >= 0 && last_writer[f.dst] == seq)
+                reg_ready[f.dst] = done;
+            // Wake the consumers linked to this producer.
+            for (std::uint32_t link = f.consumers; link != noLink;) {
+                Flight &c = rob[link >> 1];
+                c.readyBase = std::max(c.readyBase, done);
+                --c.pending;
+                link = c.nextLink[link & 1];
+            }
+            f.consumers = noLink;
         }
+        for (; next_iq < iq_seqs.size(); ++next_iq)
+            iq_seqs[kept++] = iq_seqs[next_iq];
+        iq_seqs.resize(kept);
 
         // ------------------------------------------------------ dispatch
         bool dispatch_stalled = false;
-        while (dispatched < params_.dispatchWidth && !fetchBuf.empty()) {
-            Fetched &fe = fetchBuf.front();
+        while (dispatched < params_.dispatchWidth && fb_head != fb_tail) {
+            const Fetched &fe = fetch_buf[fb_head & fb_mask];
             if (fe.availCycle > now)
                 break;
-            if (rob.size() >= params_.robSize ||
+            if (rob_tail - rob_head >= params_.robSize ||
                 iq_seqs.size() >= params_.iqSize) {
                 dispatch_stalled = true;
                 break;
@@ -373,49 +446,62 @@ OoOCore::run(InstSource &src, std::uint64_t max_insts)
                 break;
             }
 
-            Flight f;
+            const std::uint64_t seq = rob_tail;
+            const std::uint64_t slot = seq & rob_mask;
+            Flight &f = rob[slot];
+            f = Flight{};
             f.d = fe.d;
             f.isMem = is_mem;
             f.isLoad = fe.d.inst.isLoad();
             f.isBranch = is_br;
             f.mispredicted = fe.mispredicted;
             f.readyBase = now + 1;
+            complete[slot] = 0;
 
             unsigned srcs[2];
             const unsigned nsrc = gatherSrcs(fe.d.inst, srcs);
-            unsigned ndep = 0;
             for (unsigned i = 0; i < nsrc; ++i) {
                 const unsigned s = srcs[i];
                 const std::uint64_t wseq = last_writer[s];
-                Flight *w = wseq == noSeq ? nullptr : flight_of(wseq);
-                if (w && !w->issued)
-                    f.depSeq[ndep++] = wseq;
-                else if (w)
-                    f.readyBase = std::max(f.readyBase, w->completeCycle);
-                else
+                if (wseq == noSeq || wseq < rob_head) {
+                    // No writer in flight: the register file has it.
                     f.readyBase = std::max(f.readyBase, reg_ready[s]);
+                    continue;
+                }
+                Flight &w = rob[wseq & rob_mask];
+                if (w.issued) {
+                    f.readyBase =
+                        std::max(f.readyBase, complete[wseq & rob_mask]);
+                    continue;
+                }
+                const auto link =
+                    static_cast<std::uint32_t>(slot * 2 + f.pending);
+                f.nextLink[f.pending] = w.consumers;
+                w.consumers = link;
+                ++f.pending;
             }
             const int dst = destOf(fe.d.inst);
+            f.dst = static_cast<std::int8_t>(dst);
             if (dst >= 0)
-                last_writer[dst] = fe.d.seq;
+                last_writer[dst] = seq;
 
-            rob.push_back(f);
-            iq_seqs.push_back(fe.d.seq);
+            iq_seqs.push_back(seq);
             if (is_mem) {
                 ++lsq_count;
                 if (!f.isLoad)
-                    st_seqs.push_back(fe.d.seq);
+                    st_ring[st_tail++ & st_mask] = seq;
             }
             if (is_br)
-                br_seqs.push_back(fe.d.seq);
-            fetchBuf.pop_front();
+                br_seqs.push_back(seq);
+            ++rob_tail;
+            ++fb_head;
             ++dispatched;
         }
 
         // --------------------------------------------------------- fetch
         if (now >= fetch_blocked_until && waiting_branch == noSeq) {
             while (fetched < params_.fetchWidth &&
-                   fetchBuf.size() < params_.fetchBufferSize) {
+                   fb_tail - fb_head < params_.fetchBufferSize) {
                 if (!pending_valid) {
                     if (src_done || fed >= max_insts) {
                         src_done = true;
@@ -439,9 +525,10 @@ OoOCore::run(InstSource &src, std::uint64_t max_insts)
                         break;
                     }
                 }
-                Fetched fe;
+                Fetched &fe = fetch_buf[fb_tail & fb_mask];
                 fe.d = pending;
                 fe.availCycle = now + params_.frontendDelay;
+                fe.mispredicted = false;
                 bool stop = false;
                 if (pending.isBranch()) {
                     const BranchKind kind = pending.inst.branchKind();
@@ -452,7 +539,7 @@ OoOCore::run(InstSource &src, std::uint64_t max_insts)
                     fe.mispredicted = isMispredict(p, pending);
                     if (fe.mispredicted) {
                         ++res.branchMispredicts;
-                        waiting_branch = pending.seq;
+                        waiting_branch = fb_tail;
                         stop = true;
                     } else if (pending.taken) {
                         // Correctly predicted taken: redirect ends the
@@ -461,7 +548,7 @@ OoOCore::run(InstSource &src, std::uint64_t max_insts)
                         stop = true;
                     }
                 }
-                fetchBuf.push_back(fe);
+                ++fb_tail;
                 pending_valid = false;
                 ++fetched;
                 if (stop)
@@ -481,22 +568,21 @@ OoOCore::run(InstSource &src, std::uint64_t max_insts)
             ++now;
             continue;
         }
+        // Nothing moved, so the issue stage visited every waiting entry
+        // and no stage can act before the next event: the earliest
+        // in-flight completion, waiting-entry operand arrival, fetch
+        // buffer arrival, or end of a fetch block.
         std::uint64_t next = ~std::uint64_t{0};
-        for (const Flight &f : rob) {
-            if (f.issued && f.completeCycle > now)
-                next = std::min(next, f.completeCycle);
+        for (const std::uint64_t done : complete)
+            next = std::min(next, done > now ? done : ~std::uint64_t{0});
+        for (const std::uint64_t seq : iq_seqs) {
+            const Flight &f = rob[seq & rob_mask];
+            if (f.pending == 0 && f.readyBase > now)
+                next = std::min(next, f.readyBase);
         }
-        if (!iq_seqs.empty()) {
-            const std::uint64_t base = rob.front().d.seq;
-            for (const std::uint64_t seq : iq_seqs) {
-                const Flight &f = rob[seq - base];
-                if (f.depSeq[0] == noSeq && f.depSeq[1] == noSeq &&
-                    f.readyBase > now)
-                    next = std::min(next, f.readyBase);
-            }
-        }
-        if (!fetchBuf.empty() && fetchBuf.front().availCycle > now)
-            next = std::min(next, fetchBuf.front().availCycle);
+        if (fb_head != fb_tail &&
+            fetch_buf[fb_head & fb_mask].availCycle > now)
+            next = std::min(next, fetch_buf[fb_head & fb_mask].availCycle);
         if (waiting_branch == noSeq && fetch_blocked_until > now &&
             (pending_valid || (!src_done && fed < max_insts)))
             next = std::min(next, fetch_blocked_until);

@@ -19,6 +19,7 @@
 #define RSR_UARCH_CORE_HH
 
 #include <cstdint>
+#include <string>
 
 #include "branch/predictor.hh"
 #include "cache/hierarchy.hh"
@@ -64,6 +65,21 @@ struct CoreParams
 
     /** Execution latency for @p cls (loads handled by the hierarchy). */
     unsigned latencyFor(isa::OpClass cls) const;
+
+    /** Largest accepted structure size or width (OoOCore::run sizes
+     *  its rings from these). */
+    static constexpr unsigned maxSize = 1u << 16;
+
+    /**
+     * Empty when every structure size and width (fetch, dispatch, issue
+     * and retire widths; ROB, IQ, LSQ and fetch-buffer sizes; function
+     * units; unresolved-branch limit) is in [1, maxSize]. Otherwise a
+     * message naming the first field out of range by its config key: a
+     * zero leaves the pipeline unable to make progress, and an
+     * over-large size would over-allocate. Callers that take
+     * parameters from outside throw their own error kind with it.
+     */
+    std::string sizeError() const;
 };
 
 /** Supplies the committed dynamic instruction stream. */

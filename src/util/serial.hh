@@ -100,6 +100,10 @@ class ByteSource
     getBytes(void *out, std::size_t n)
     {
         need(n);
+        // An empty read may come with a null buffer (an empty vector's
+        // data()), and memcpy from or to null is undefined even for 0.
+        if (n == 0)
+            return;
         std::memcpy(out, data + pos, n);
         pos += n;
     }

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "core/config_file.hh"
 #include "util/error.hh"
 
@@ -64,6 +67,52 @@ TEST(ConfigFile, CoreOverrides)
     EXPECT_EQ(mc.core.robSize, 128u);
     EXPECT_EQ(mc.core.intDivLat, 40u);
     EXPECT_TRUE(mc.core.storeForwarding);
+}
+
+TEST(ConfigFile, ZeroCoreSizeOrWidthThrows)
+{
+    // Each of these at zero leaves the pipeline unable to make progress;
+    // it must be a user error naming the key, not a stalled run.
+    for (const char *key :
+         {"core.fetch_width", "core.dispatch_width", "core.issue_width",
+          "core.retire_width", "core.rob_size", "core.iq_size",
+          "core.lsq_size", "core.num_fus", "core.max_unresolved_branches",
+          "core.fetch_buffer_size"}) {
+        auto mc = MachineConfig::paperDefault();
+        try {
+            applyMachineOption(mc, key, "0");
+            FAIL() << key << " = 0 accepted";
+        } catch (const UserError &e) {
+            EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(ConfigFile, OverLargeCoreSizeThrows)
+{
+    auto mc = MachineConfig::paperDefault();
+    EXPECT_THROW(applyMachineOption(mc, "core.rob_size", "4000000"),
+                 UserError);
+    // 2^32 + 64 must not wrap to a plausible 64.
+    EXPECT_THROW(applyMachineOption(mc, "core.rob_size", "4294967360"),
+                 UserError);
+    EXPECT_EQ(mc.core.robSize, 64u);
+    applyMachineOption(mc, "core.rob_size", "65536");
+    EXPECT_EQ(mc.core.robSize, 65536u);
+}
+
+TEST(ConfigFile, ZeroCoreSizeInFileThrows)
+{
+    const std::string path =
+        std::string(::testing::TempDir()) + "/rsr_zero_width.cfg";
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs("core.rob_size = 32\ncore.retire_width = 0\n", f);
+    std::fclose(f);
+    EXPECT_THROW(loadMachineConfig(path, MachineConfig::paperDefault()),
+                 UserError);
+    std::remove(path.c_str());
 }
 
 TEST(ConfigFile, CommentsAndWhitespace)

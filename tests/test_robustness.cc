@@ -31,6 +31,8 @@
 #include "harness/parallel_run.hh"
 #include "simpoint/simpoint.hh"
 #include "trace/trace.hh"
+#include "util/checksum.hh"
+#include "util/content_store.hh"
 #include "util/error.hh"
 #include "util/fault.hh"
 #include "workload/synthetic.hh"
@@ -288,6 +290,59 @@ TEST(Robustness, BitFlippedLivePointStoreThrowsCorruptInput)
         EXPECT_THROW(core::LivePointStore::loadFile(path),
                      CorruptInputError)
             << "flip at " << pos;
+    }
+    std::remove(path.c_str());
+}
+
+TEST(Robustness, LivePointStoreWithCorruptRobSizeThrowsCorruptInput)
+{
+    // A store whose recorded ROB size has a high bit flipped but whose
+    // checksums are intact (as a faulty writer would leave it) must be
+    // refused at load, before any replay sizes its timing-core rings
+    // from it.
+    const std::string path = savedSmallStore("badrob");
+    const core::LivePointStore store = core::LivePointStore::loadFile(path);
+    const BlobStoreReader reader(slurpFile(path));
+    auto index = reader.index();
+
+    // The core fields lead with fetch, dispatch, issue and retire width,
+    // then the ROB size, as little-endian u32s.
+    const auto &c = store.meta().machine.core;
+    std::vector<std::uint8_t> lead;
+    for (const std::uint32_t v : {c.fetchWidth, c.dispatchWidth,
+                                  c.issueWidth, c.retireWidth, c.robSize})
+        for (int i = 0; i < 4; ++i)
+            lead.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    const auto at = std::search(index.begin(), index.end(), lead.begin(),
+                                lead.end());
+    ASSERT_NE(at, index.end());
+    ASSERT_EQ(std::search(at + 1, index.end(), lead.begin(), lead.end()),
+              index.end());
+    at[16 + 2] ^= 0x10; // robSize ^= 1 << 20
+    // Re-seal the index frame: tag, version and length (16 bytes), then
+    // the payload checksum.
+    constexpr std::size_t header = 4 + 4 + 8 + 8;
+    ASSERT_GE(at - index.begin(), std::ptrdiff_t{header});
+    const std::uint64_t sum = fnv64(index.data() + header,
+                                    index.size() - header);
+    for (int i = 0; i < 8; ++i)
+        index[16 + i] = static_cast<std::uint8_t>(sum >> (8 * i));
+
+    BlobStoreWriter writer;
+    for (const auto &e : store.entries()) {
+        writer.add(reader.blob(e.stateHash));
+        writer.add(reader.blob(e.traceHash));
+        if (e.hasContext)
+            writer.add(reader.blob(e.contextHash));
+    }
+    spillFile(path, writer.finish(index));
+    try {
+        core::LivePointStore::loadFile(path);
+        FAIL() << "store with a flipped robSize bit accepted";
+    } catch (const CorruptInputError &e) {
+        EXPECT_NE(std::string(e.what()).find("core.rob_size"),
+                  std::string::npos)
+            << e.what();
     }
     std::remove(path.c_str());
 }
